@@ -80,6 +80,8 @@ _DEFAULT_BOUNDED_ALLOW: tuple[str, ...] = (
     "drain_rows every pipeline turn, bounded by rows per turn",
     "repro/study/engine.py::_FastPlan.build::cold_chains=per-platform "
     "plan construction, lifetime one platform",
+    "repro/study/engine.py::_fused_upstream_cold::plan.corridor=fixed-size "
+    "per-cache memo list (len == n_caches), assigned by index, never grows",
     "repro/study/export.py::CensusWriter.write_dict::self._buffer="
     "flushed every chunk_size rows, bounded by chunk_size",
     "repro/study/export.py::CensusWriter._flush_chunk::self.chunks="
@@ -264,17 +266,12 @@ class LintConfig:
     #: fused corridor and lane batch loops, where a hoistable allocation
     #: is a per-probe cost the fast path exists to avoid.
     hot_paths: tuple[str, ...] = (
-        "repro/study/engine.py::_leg_inline",
-        "repro/study/engine.py::_leg_generic",
-        "repro/study/engine.py::_fused_probe",
+        "repro/study/engine.py::_leg",
         "repro/study/engine.py::_fused_probe_flat",
-        "repro/study/engine.py::_fused_resolve",
         "repro/study/engine.py::_fused_resolve_flat",
-        "repro/study/engine.py::_fused_resolve_chain",
         "repro/study/engine.py::_fused_upstream",
         "repro/study/engine.py::_fused_upstream_cold",
         "repro/study/engine.py::_fused_cde_transaction",
-        "repro/study/engine.py::_fused_upstream_slow",
         "repro/study/engine.py::_measure_direct_turns",
         "repro/study/engine.py::ShardLane._lane_turns",
     )

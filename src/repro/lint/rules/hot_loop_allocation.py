@@ -54,7 +54,7 @@ class HotLoopAllocationRule(Rule):
 
     **Example (bad).** ::
 
-        def _fused_probe(plan, qname, qtype):
+        def _fused_probe_flat(plan, qname, qtype):
             key = f"{qname}/{qtype}"          # built per probe
 
     **Fix guidance.**  Hoist the value to the ``_FastPlan`` built once

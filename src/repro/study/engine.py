@@ -15,25 +15,30 @@ event-driven scheduler:
   are fully independent — so no lane blocks the pipeline and per-turn work
   stays cache-hot, without perturbing any lane's internal sequence.
 * The direct-probe hot loop runs through a **fused corridor**
-  (:class:`_FastPlan` / :func:`_fused_probe`): for the common
+  (:func:`_fused_probe_flat` → :func:`_fused_resolve_flat`): for the
   prober → open platform → CDE nameserver path it replicates the exact
   mutation sequence of the real object-per-message code — every RNG draw,
   every clock advance, every stats/log update — while skipping all
   ``DnsMessage`` construction, response assembly and truncation checks.
-  Once a platform's corridor is warm, the per-probe zone lookup and cache
-  walk collapse into a memoized fast path (see below).  Any structural
-  surprise (retry policies, fault injectors, closed resolvers, frontend
-  dedup, unexpected authority sets, exotic link models...) falls back to
-  the real code path, which is always correct.
 
-The fast path rests on one structural fact the engine controls: corridor
+The corridor rests on one structural fact the engine controls: corridor
 probe names come from ``cde.unique_name``/``unique_names`` *immediately*
 before probing, so they are fresh children of the CDE base domain that no
 cache, zone or log has ever seen.  Every cache lookup at such a name is a
 provable miss, the zone answer is pure wildcard synthesis, and the query
-log's suffix buckets above the name are fixed.  The fast path verifies the
-cheap invariants per probe (entry identity, wildcard RRset identity, key
-absence) and falls back wholesale when any fails.
+log's suffix buckets above the name are fixed.
+
+There is one tier and one gate.  :meth:`_FastPlan.build` returns a plan
+only when the import-time replica checks passed (:data:`_FULL_FAST`),
+every link uses a gated latency/loss model and the CDE query log is
+indexed without a window; otherwise every probe of the platform takes the
+structured path and counts as a fallback probe.  Inside the corridor, the
+shapes it replicates are the warm corridor (a per-cache memo of the
+cached base-domain NS and nameserver A entries) and the cold referral
+chain into an empty cache (:class:`_ColdChain`).  Every rarer shape — an
+entry or alias already at the name, an expired memo, a cache that is
+neither empty nor memoized — runs the real resolver code from exactly the
+point the real path would reach it.
 
 Determinism is the contract: driving a :class:`ShardLane` to completion
 produces rows byte-identical to
@@ -68,21 +73,15 @@ from ..dns.edns import maybe_truncate
 from ..dns.errors import ResolutionError
 from ..dns.message import DnsMessage
 from ..dns.name import ROOT, DnsName
-from ..dns.record import (
-    CnameRdata,
-    NsRdata,
-    ResourceRecord,
-    RRSet,
-    group_rrsets,
-)
+from ..dns.record import NsRdata, ResourceRecord, RRSet, group_rrsets
 from ..dns.rrtype import RCode, RRType
 from ..dns.wire import wire_cache_counters
-from ..dns.zone import WILDCARD_LABEL, LookupKind, Zone
+from ..dns.zone import WILDCARD_LABEL, Zone
 from ..net.latency import ConstantLatency, LogNormalLatency
 from ..net.loss import BernoulliLoss, NoLoss
 from ..net.network import LinkProfile, Network
 from ..net.perf import ShardPerf, snapshot_stats, stats_delta
-from ..resolver.platform import MAX_ANSWER_CHAIN, ResolutionPlatform
+from ..resolver.platform import ResolutionPlatform
 from ..resolver.selection import (
     QnameHashSelector,
     QueryContext,
@@ -118,24 +117,26 @@ _CorridorMemo = tuple[CacheEntry, CacheEntry]
 _Template = tuple[tuple[DnsName, RRType], RRSet, int,
                   tuple[ResourceRecord, ...], int]
 #: One referral hop of the cold-resolution chain:
-#: (server, zone-name for the error message, dst link params, dst profile,
-#: RRsets its referral response makes the resolver cache, the server's
-#: query log, and — when that log is indexed — the suffix-bucket lists of
-#: the base domain's ancestor chain, for the inlined record()).
-_ColdLevel = tuple[AuthoritativeServer, DnsName, Optional[_LegParams],
-                   LinkProfile, tuple[RRSet, ...], QueryLog,
-                   Optional[list[list[int]]]]
+#: (server, zone-name for the error message, dst link params, RRsets its
+#: referral response makes the resolver cache, the server's indexed query
+#: log, and the suffix-bucket lists of the base domain's ancestor chain in
+#: that log, for the inlined record()).
+_ColdLevel = tuple[AuthoritativeServer, DnsName, _LegParams,
+                   tuple[RRSet, ...], QueryLog, list[list[int]]]
 #: Zone-shape token guarding a captured chain: (server, zone, zone count,
 #: rrset count).  Any mismatch forces a re-capture before the next replay.
 _ColdToken = tuple[AuthoritativeServer, Zone, int, int]
 
 
-def _link_params(profile: LinkProfile) -> Optional[_LegParams]:
-    """Flattened sampling parameters for the type-gated traversal inline.
+def _link_params(profile: Optional[LinkProfile]) -> Optional[_LegParams]:
+    """Flattened sampling parameters for the inlined traversal.
 
     Only the models whose draw sequence the inline replicates exactly are
-    eligible; anything else makes the corridor use ``Network._traverse``.
+    eligible; anything else (or no profile at all) keeps the platform off
+    the corridor.
     """
+    if profile is None:
+        return None
     latency = profile.latency
     if type(latency) is LogNormalLatency:
         lognormal, median, sigma = True, latency.median, latency.sigma
@@ -175,8 +176,8 @@ def _check_dataclass_layout() -> bool:
     literals replicate — so this probe builds each replica the same way
     the hot loop does and compares it field-for-field against the real
     constructor's product.  Any mismatch (renamed field, new default,
-    ``__slots__``, new post-init behaviour) flips the corridor back to the
-    real constructors.
+    ``__slots__``, new post-init behaviour) sends every probe down the
+    structured path.
     """
     try:
         name = ROOT.prepend("layout-check")
@@ -232,11 +233,11 @@ def _check_dataclass_layout() -> bool:
 def _check_inline_gauss() -> bool:
     """True when the inlined Box–Muller replica matches ``Random.gauss``.
 
-    The replica (see :func:`_leg_inline`) hand-manages the ``gauss_next``
-    spare so latency sampling skips a method call per draw.  Verified
-    against the real implementation — including internal state — so a
-    future stdlib algorithm change degrades to the method call instead of
-    silently changing the seeded draw stream.
+    The replica (see :func:`_leg`) hand-manages the ``gauss_next`` spare
+    so latency sampling skips a method call per draw.  Verified against
+    the real implementation — including internal state — so a future
+    stdlib algorithm change sends probes down the structured path instead
+    of silently changing the seeded draw stream.
     """
     try:
         real, mine = Random(987654321), Random(987654321)
@@ -282,11 +283,10 @@ def _check_inline_randbelow() -> bool:
         return False
 
 
-_FAST_LAYOUT = _check_dataclass_layout()
-_INLINE_GAUSS = _check_inline_gauss()
-_INLINE_RANDBELOW = _check_inline_randbelow()
-#: All three replicas verified → the fully flattened probe path is safe.
-_FULL_FAST = _FAST_LAYOUT and _INLINE_GAUSS and _INLINE_RANDBELOW
+#: All three replicas verified → the fused corridor is safe.  When any
+#: check fails, :meth:`_FastPlan.build` declines every platform.
+_FULL_FAST = (_check_dataclass_layout() and _check_inline_gauss()
+              and _check_inline_randbelow())
 
 
 class _ColdChain:
@@ -306,8 +306,9 @@ class _ColdChain:
     question does, which ingest ignores), so the captured RRsets replay
     verbatim for any corridor name.  On any structural surprise — multiple
     roots or candidate servers, glueless delegations, truncation, a
-    non-wildcard answer — the capture declines and cold resolutions stay
-    on the real path.
+    non-wildcard answer, a hop whose link model is not gated or whose
+    query log is unindexed or windowed — the capture declines and cold
+    resolutions stay on the real path.
     """
 
     __slots__ = ("network", "server", "ns_ip", "base_domain", "root_key",
@@ -343,8 +344,8 @@ class _ColdChain:
                 return
             if not endpoint.online or endpoint.rrl_rate is not None:
                 return
-            profile = self.network.profile_of(server_ip)
-            if profile is None:
+            params = _link_params(self.network.profile_of(server_ip))
+            if params is None:
                 return
             zone = endpoint.zone_for(probe)
             if zone is None:
@@ -411,12 +412,14 @@ class _ColdChain:
                 assert isinstance(first.rdata, NsRdata)
                 self.a_key = (first.rdata.nsdname, RRType.A)
             level_log = endpoint.query_log
+            if not level_log.indexed or level_log.window is not None:
+                return
             tails = [
                 level_log._by_suffix.setdefault(ancestor, [])
                 for ancestor in self.base_domain.ancestors(include_self=True)
-            ] if level_log.indexed else None
-            levels.append((endpoint, zone_name, _link_params(profile),
-                           profile, tuple(ingest), level_log, tails))
+            ]
+            levels.append((endpoint, zone_name, params, tuple(ingest),
+                           level_log, tails))
             zone_name = new_zone
             server_ip = next_ips[0]
         return
@@ -441,38 +444,34 @@ class _ColdChain:
 class _FastPlan:
     """Precomputed context for the fused prober → platform → CDE corridor.
 
-    :meth:`build` returns ``None`` unless every structural precondition of
-    the fused probe path holds for this platform; the engine then keeps the
-    real per-message path.  The preconditions are exactly the cases where
-    the real path takes no other branch, so the fused replica below can
-    reproduce its mutation sequence verbatim.
+    :meth:`build` is the corridor's single gate: it returns ``None`` unless
+    every structural precondition holds for this platform, and the engine
+    then runs the real per-message path for all of its probes.  The
+    preconditions are exactly the cases where the real path takes no
+    other branch, so the fused frames below can reproduce its mutation
+    sequence verbatim without re-checking any of them per probe.
     """
 
     __slots__ = (
-        "network", "clock", "stats", "prober", "prober_ip", "timeout",
-        "retries", "platform", "caches", "n_caches", "cache_selector",
-        "egress_selector", "egress_ips", "n_egress", "egress_profiles",
-        "prober_profile", "ingress_profile", "server", "query_log",
-        "ns_ip", "server_profile",
+        "clock", "stats", "prober", "prober_ip", "timeout", "retries",
+        "platform", "caches", "n_caches", "cache_selector", "egress_ips",
+        "n_egress", "query_log",
         # fast-path state
-        "base_domain", "network_rng", "rng_gauss", "rng_random",
-        "prober_randrange", "platform_randrange", "egress_randrange",
+        "network_rng", "rng_random",
         "prober_getrandbits", "platform_getrandbits", "egress_getrandbits",
-        "egress_bits",
-        "probe_src", "probe_dst", "server_dst", "egress_src", "fast_links",
+        "egress_bits", "probe_src", "probe_dst", "server_dst", "egress_src",
         "sel_kind", "sel_state", "sel_bits",
-        "log_indexed", "suffix_tails", "zone", "template", "ns_key", "a_key",
+        "suffix_tails", "zone", "template", "ns_key", "a_key",
         "corridor", "cold", "cold_walk_misses",
     )
 
     def __init__(self, world: SimulatedInternet, platform: ResolutionPlatform,
-                 ingress_profile: LinkProfile, server_profile: LinkProfile,
-                 prober_profile: LinkProfile,
-                 egress_profiles: list[LinkProfile],
+                 probe_src: _LegParams, probe_dst: _LegParams,
+                 server_dst: _LegParams, egress_src: list[_LegParams],
                  cold: Optional[_ColdChain]):
-        self.network: Network = world.network
-        self.clock = world.network.clock
-        self.stats = world.network.stats
+        network = world.network
+        self.clock = network.clock
+        self.stats = network.stats
         self.prober = world.prober
         self.prober_ip: str = world.prober.prober_ip
         self.timeout: float = world.prober.timeout
@@ -481,29 +480,18 @@ class _FastPlan:
         self.caches: list[DnsCache] = platform.caches
         self.n_caches: int = len(platform.caches)
         self.cache_selector = platform.cache_selector
-        self.egress_selector = platform.egress_selector
         self.egress_ips: list[str] = platform.config.egress_ips
         self.n_egress: int = len(platform.config.egress_ips)
-        self.egress_profiles = egress_profiles
-        self.prober_profile = prober_profile
-        self.ingress_profile = ingress_profile
-        self.server: AuthoritativeServer = world.cde.server
         self.query_log: QueryLog = world.cde.server.query_log
-        self.ns_ip: str = world.cde.ns_ip
-        self.server_profile = server_profile
 
         # -- fast-path precomputation -----------------------------------
-        self.base_domain: DnsName = world.cde.base_domain
-        rng = self.network._rng
+        base_domain = world.cde.base_domain
+        rng = network._rng
         self.network_rng: Random = rng
-        self.rng_gauss: Callable[[float, float], float] = rng.gauss
         self.rng_random: Callable[[], float] = rng.random
-        self.prober_randrange: Callable[[int], int] = self.prober.rng.randrange
-        self.platform_randrange: Callable[[int], int] = platform.rng.randrange
-        # build() gated the selector type, so ``_rng`` is its only state.
-        self.egress_randrange: Callable[[int], int] = \
-            platform.egress_selector._rng.randrange
-        # _check_inline_randbelow proved the getrandbits replay draw-exact.
+        # _check_inline_randbelow proved the getrandbits replay draw-exact;
+        # build() gated the egress selector type, so ``_rng`` is its only
+        # state.
         self.prober_getrandbits: Callable[[int], int] = \
             self.prober.rng.getrandbits
         self.platform_getrandbits: Callable[[int], int] = \
@@ -511,14 +499,10 @@ class _FastPlan:
         self.egress_getrandbits: Callable[[int], int] = \
             platform.egress_selector._rng.getrandbits
         self.egress_bits: int = self.n_egress.bit_length()
-        self.probe_src = _link_params(prober_profile)
-        self.probe_dst = _link_params(ingress_profile)
-        self.server_dst = _link_params(server_profile)
-        self.egress_src = [_link_params(p) for p in egress_profiles]
-        self.fast_links: bool = (
-            self.probe_src is not None and self.probe_dst is not None
-            and self.server_dst is not None
-            and all(p is not None for p in self.egress_src))
+        self.probe_src = probe_src
+        self.probe_dst = probe_dst
+        self.server_dst = server_dst
+        self.egress_src = egress_src
         # Type-gated cache-selector fast path: every stock selector's
         # ``select`` reduces to a cheap expression of state the corridor
         # holds (corridor queries always arrive from the prober's address).
@@ -533,7 +517,7 @@ class _FastPlan:
         if selector_type is RoundRobinSelector:
             self.sel_kind = 1
             self.sel_state = selector
-        elif selector_type is UniformRandomSelector and _INLINE_RANDBELOW:
+        elif selector_type is UniformRandomSelector:
             self.sel_kind = 2
             self.sel_state = selector._rng.getrandbits
             self.sel_bits = self.n_caches.bit_length()
@@ -544,26 +528,25 @@ class _FastPlan:
             self.sel_kind = 4
             self.sel_state = _stable_hash(
                 selector._salt, self.prober_ip) % self.n_caches
-        log = self.query_log
-        self.log_indexed: bool = log.indexed
         # The suffix buckets above any corridor name are those of the base
         # domain's own ancestor chain — fixed list objects, resolved once.
+        log = self.query_log
         self.suffix_tails: list[list[int]] = [
             log._by_suffix.setdefault(ancestor, [])
-            for ancestor in self.base_domain.ancestors(include_self=True)
-        ] if log.indexed else []
-        # Seeded from the lane-shared cold chain, or lazily by the first
-        # successful slow upstream when the analytic capture declines.
+            for ancestor in base_domain.ancestors(include_self=True)
+        ]
+        # Seeded from the lane-shared cold chain; the corridor memo of a
+        # cache is set by its cold replay.
         self.zone: Optional[Zone] = None
         self.template: Optional[_Template] = None
-        self.ns_key: tuple[DnsName, RRType] = (self.base_domain, RRType.NS)
+        self.ns_key: tuple[DnsName, RRType] = (base_domain, RRType.NS)
         self.a_key: Optional[tuple[DnsName, RRType]] = None
         self.corridor: list[Optional[_CorridorMemo]] = [None] * self.n_caches
         self.cold = cold
         # A cold cache misses _from_cache twice, then once per ancestor in
         # the authority walk; corridor names all have the same depth.
         self.cold_walk_misses: int = 2 + sum(
-            1 for _ in self.base_domain.prepend("x").ancestors(
+            1 for _ in base_domain.prepend("x").ancestors(
                 include_self=True))
         if cold is not None and cold.valid():
             self.zone = cold.zone
@@ -574,6 +557,8 @@ class _FastPlan:
     def build(cls, world: SimulatedInternet, hosted: HostedPlatform,
               cold_chains: Optional[dict[tuple[str, ...], _ColdChain]] = None,
               ) -> Optional["_FastPlan"]:
+        if not _FULL_FAST:
+            return None           # an inline replica failed its import check
         network = world.network
         prober = world.prober
         platform = hosted.platform
@@ -597,6 +582,8 @@ class _FastPlan:
             return None           # exactly one rng draw per send call
         if not server.online or server.rrl_rate is not None:
             return None
+        if not server.query_log.indexed:
+            return None           # inline record() maintains the indexes
         if server.query_log.window is not None:
             return None           # inline record() does not replicate eviction
         ns_ip = world.cde.ns_ip
@@ -604,14 +591,17 @@ class _FastPlan:
             return None
         if network.endpoint_at(config.ingress_ips[0]) is not platform:
             return None
-        prober_profile = network.profile_of(prober.prober_ip)
-        ingress_profile = network.profile_of(config.ingress_ips[0])
-        server_profile = network.profile_of(ns_ip)
-        egress_profiles = [network.profile_of(ip) for ip in config.egress_ips]
-        if prober_profile is None or ingress_profile is None or \
-                server_profile is None or any(
-                    profile is None for profile in egress_profiles):
-            return None
+        probe_src = _link_params(network.profile_of(prober.prober_ip))
+        probe_dst = _link_params(network.profile_of(config.ingress_ips[0]))
+        server_dst = _link_params(network.profile_of(ns_ip))
+        egress_src: list[_LegParams] = []
+        for ip in config.egress_ips:
+            params = _link_params(network.profile_of(ip))
+            if params is None:
+                return None
+            egress_src.append(params)
+        if probe_src is None or probe_dst is None or server_dst is None:
+            return None           # a link model the inline legs don't draw
         # The chain from the root hints to the CDE is world state, so one
         # capture is shared by every plan in the lane (keyed by root hints
         # in case specs ever diverge on them).
@@ -623,15 +613,13 @@ class _FastPlan:
             cold = _ColdChain(world, root_key)
             if cold_chains is not None:
                 cold_chains[root_key] = cold
-        return cls(world, platform, ingress_profile, server_profile,
-                   prober_profile,
-                   [profile for profile in egress_profiles
-                    if profile is not None], cold)
+        return cls(world, platform, probe_src, probe_dst, server_dst,
+                   egress_src, cold)
 
 
 # cdelint: replica-of=repro.net.network.Network._traverse
-def _leg_inline(plan: _FastPlan, src: _LegParams, dst: _LegParams
-                ) -> tuple[bool, float]:
+def _leg(plan: _FastPlan, src: _LegParams, dst: _LegParams
+         ) -> tuple[bool, float]:
     """``Network._traverse`` inlined for the gated link models.
 
     Same draws, same order, same short-circuit: destination latency,
@@ -639,7 +627,8 @@ def _leg_inline(plan: _FastPlan, src: _LegParams, dst: _LegParams
     message was not already lost.  The log-normal draw opens up
     ``Random.gauss`` too (Box–Muller with a spare), manually managing the
     ``gauss_next`` state on the network RNG — :func:`_check_inline_gauss`
-    proved the replica state-exact at import time.
+    proved the replica state-exact at import time.  Used by the cold
+    referral hops; the per-probe frames inline the same draws.
     """
     rng = plan.network_rng
     lognormal, median, sigma, rate = dst
@@ -672,111 +661,31 @@ def _leg_inline(plan: _FastPlan, src: _LegParams, dst: _LegParams
     return lost, latency
 
 
-# cdelint: replica-of=repro.net.network.Network._traverse
-def _leg_generic(plan: _FastPlan, src: _LegParams, dst: _LegParams
-                 ) -> tuple[bool, float]:
-    """The same traversal drawing through ``Random.gauss`` itself."""
-    gauss = plan.rng_gauss
-    lognormal, median, sigma, rate = dst
-    latency = median * exp(gauss(0.0, sigma)) if lognormal else median
-    lost = rate > 0.0 and plan.rng_random() < rate
-    lognormal, median, sigma, rate = src
-    latency += median * exp(gauss(0.0, sigma)) if lognormal else median
-    if not lost:
-        lost = rate > 0.0 and plan.rng_random() < rate
-    return lost, latency
-
-
-_leg: Callable[[_FastPlan, _LegParams, _LegParams], tuple[bool, float]] = (
-    _leg_inline if _INLINE_GAUSS else _leg_generic)
-
-
 # cdelint: replica-of=repro.core.prober.DirectProber.probe
-def _fused_probe(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
+def _fused_probe_flat(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
     """One direct probe through the fused corridor.
 
     Replicates ``DirectProber.probe`` → ``Network.query`` →
-    ``ResolutionPlatform.resolve_for_client`` for the eligible case,
+    ``ResolutionPlatform.resolve_for_client`` for a gated platform,
     preserving every RNG draw, clock advance and counter mutation, while
     building no messages.  Returns the delivery status — the only probe
-    field the direct techniques consume.
-    """
-    clock = plan.clock
-    stats = plan.stats
-    plan.prober.queries_sent += 1
-    # The outer query's message id is drawn but observed by no one (the
-    # platform does not log client ids); the draw itself must still happen
-    # to keep the "prober" stream aligned with the real path.
-    if _INLINE_RANDBELOW:
-        getrandbits = plan.prober_getrandbits
-        while getrandbits(17) >= 65536:
-            pass
-    else:
-        plan.prober_randrange(1 << 16)
-    timeout = plan.timeout
-    fast = plan.fast_links
-    attempts = 0
-    while attempts <= plan.retries:
-        attempts += 1
-        if attempts > 1:
-            stats.retransmissions += 1
-        sent_at = clock._now
-        stats.messages_sent += 1
-        if fast:
-            assert plan.probe_src is not None and plan.probe_dst is not None
-            lost, latency = _leg(plan, plan.probe_src, plan.probe_dst)
-        else:
-            lost, latency = plan.network._traverse(plan.prober_profile,
-                                                   plan.ingress_profile)
-        if lost:
-            stats.requests_lost += 1
-            clock._now = sent_at + timeout      # advance_to, never backward
-            continue
-        clock._now = sent_at + latency
-        # The platform answers every eligible query (a SERVFAIL is still a
-        # response), so the silent-drop branch cannot trigger here.
-        _fused_resolve(plan, qname, qtype)
-        if fast:
-            assert plan.probe_src is not None and plan.probe_dst is not None
-            lost, latency = _leg(plan, plan.probe_src, plan.probe_dst)
-        else:
-            lost, latency = plan.network._traverse(plan.prober_profile,
-                                                   plan.ingress_profile)
-        if lost:
-            stats.responses_lost += 1
-            deadline = sent_at + timeout
-            if deadline > clock._now:           # max(now, deadline)
-                clock._now = deadline
-            continue
-        clock._now += latency
-        stats.messages_delivered += 1
-        return True
-    stats.timeouts += 1
-    return False
-
-
-# cdelint: replica-of=repro.core.prober.DirectProber.probe
-def _fused_probe_flat(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
-    """:func:`_fused_probe` with the probe legs fully flattened.
-
-    One frame for the prober's attempt loop: the link-model draws run as
-    the proven inline replicas with the leg parameters unpacked once
-    before the loop (no per-leg call, no tuple packing).  Only selected
-    when :data:`_FULL_FAST` holds and the plan's links are the gated
-    models; the draw sequence is byte-for-byte the one
-    :func:`_fused_probe` + :func:`_leg_inline` produce.
+    field the direct techniques consume.  The link-model draws run as the
+    proven inline replicas of :func:`_leg` with the leg parameters
+    unpacked once before the attempt loop (no per-leg call, no tuple
+    packing).
     """
     clock = plan.clock
     stats = plan.stats
     rng = plan.network_rng
     rng_random = rng.random
     plan.prober.queries_sent += 1
-    # Discarded prober message-id draw (see _fused_probe).
+    # The outer query's message id is drawn but observed by no one (the
+    # platform does not log client ids); the draw itself must still happen
+    # to keep the "prober" stream aligned with the real path.
     getrandbits = plan.prober_getrandbits
     while getrandbits(17) >= 65536:
         pass
     timeout = plan.timeout
-    assert plan.probe_dst is not None and plan.probe_src is not None
     dst_ln, dst_med, dst_sig, dst_rate = plan.probe_dst
     src_ln, src_med, src_sig, src_rate = plan.probe_src
     retries = plan.retries
@@ -818,6 +727,8 @@ def _fused_probe_flat(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
             clock._now = sent_at + timeout      # advance_to, never backward
             continue
         clock._now = sent_at + latency
+        # The platform answers every eligible query (a SERVFAIL is still a
+        # response), so the silent-drop branch cannot trigger here.
         _fused_resolve_flat(plan, qname, qtype)
         # Response leg: same draw order.
         if dst_ln:
@@ -861,16 +772,16 @@ def _fused_probe_flat(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
 # cdelint: replica-of=repro.resolver.platform.ResolutionPlatform.resolve_for_client
 def _fused_resolve_flat(plan: _FastPlan, qname: DnsName,
                         qtype: RRType) -> None:
-    """:func:`_fused_resolve` with the warm corridor fully flattened.
+    """``resolve_for_client`` for a corridor probe, minus the response.
 
-    Selector dispatch, membership gate, memo validation, the CDE
-    transaction's draws/legs/log record and the answer put all run in this
-    one frame; every rare shape (chain hit, cold cache, memo invalidation,
-    structural surprise) delegates to the structured helpers from exactly
-    the point the real code would reach them.  A lost transaction replays
-    the real path's observable effect (timeout counted, resolution marked
-    failed, no answer stored) without constructing the swallowed
-    :class:`ResolutionError`.
+    Selector dispatch, the live hit at the probe name, the fresh-name miss
+    and the warm-corridor stat replay run in this frame; the CDE
+    transaction is :func:`_fused_cde_transaction` and the cold referral
+    chain :func:`_fused_upstream`.  Every rarer shape — an expired entry,
+    an alias or negative entry at the name, a cache that is neither empty
+    nor warm — calls the real resolver code from exactly the point the
+    real path would reach it.  Nobody reads the response, and building it
+    is pure, so skipping it changes nothing.
     """
     platform = plan.platform
     pstats = platform.stats
@@ -897,6 +808,7 @@ def _fused_resolve_flat(plan: _FastPlan, qname: DnsName,
             memo[qname] = cache_index = _stable_hash(
                 salt, str(qname).lower()) % plan.n_caches
     else:
+        # Layout-checked __dict__ construction (see _check_dataclass_layout).
         context = _obj_new(QueryContext)
         _obj_setattr(context, "__dict__",
                      {"qname": qname, "qtype": qtype,
@@ -906,366 +818,50 @@ def _fused_resolve_flat(plan: _FastPlan, qname: DnsName,
     cache = plan.caches[cache_index]
     clock = plan.clock
     clock._now += 0.0002        # intra-platform hop, as in resolve_for_client
+    now = clock._now
     centries = cache._entries
     entry = centries.get((qname, qtype))
-    if entry is not None:
-        now = clock._now
-        if now < entry.expires_at:
-            # Live entry at the exact key: _answer_from's first get hits
-            # (any kind ends the chain) — touch + both hit counters.
-            entry.hits += 1
-            entry.last_used = now
-            cache.stats.hits += 1
-            pstats.cache_hits += 1
+    if entry is not None and now < entry.expires_at:
+        # Live entry at the exact key: _answer_from's first get hits
+        # (any kind ends the chain) — touch + both hit counters.
+        entry.hits += 1
+        entry.last_used = now
+        cache.stats.hits += 1
+        pstats.cache_hits += 1
+        return
+    try:
+        if (entry is not None or (qname, _ANY) in centries
+                or (qname, _CNAME) in centries or (qname, _NS) in centries):
+            # Not a fresh name in this cache: the real chain walk.
+            platform._answer_from(cache, qname, qtype)
             return
-        _fused_resolve_chain(plan, cache, cache_index, qname, qtype)
-        return
-    if ((qname, _ANY) in centries
-            or (qname, _CNAME) in centries
-            or (qname, _NS) in centries):
-        _fused_resolve_chain(plan, cache, cache_index, qname, qtype)
-        return
-    # Provable miss (see _fused_resolve): replay _answer_from's stats.
-    cache.stats.misses += 2 if qtype is not _CNAME else 1
-    pstats.cache_misses += 1
-    template = plan.template
-    memo2 = (plan.corridor[cache_index]
-             if template is not None and qtype is RRType.A else None)
-    warm = False
-    if memo2 is not None:
-        ns_entry, a_entry = memo2
-        now = clock._now
-        a_key = plan.a_key
-        zone = plan.zone
-        warm = (a_key is not None and zone is not None
-                and centries.get(plan.ns_key) is ns_entry
-                and now < ns_entry.expires_at
-                and centries.get(a_key) is a_entry
-                and now < a_entry.expires_at
-                and zone._rrsets.get(template[0]) is template[1]
-                and len(template[1].records) == template[2])
-    if not warm:
-        try:
-            if not _fused_upstream(plan, cache, cache_index, qname, qtype):
-                platform._resolve_upstream(cache, qname, qtype)
-        except ResolutionError:
-            pstats.failures += 1
-        return
-    # -- warm corridor: stat replay (see _fused_upstream) ------------------
-    cstats = cache.stats
-    cstats.misses += 3
-    ns_entry.hits += 1
-    ns_entry.last_used = now
-    a_entry.hits += 1
-    a_entry.last_used = now
-    cstats.hits += 2
-    # -- the CDE transaction, flattened (see _fused_cde_transaction) -------
-    stats = plan.stats
-    rng = plan.network_rng
-    rng_random = rng.random
-    pget = plan.platform_getrandbits
-    msg_id = pget(17)
-    while msg_id >= 65536:
-        msg_id = pget(17)
-    eget = plan.egress_getrandbits
-    n_egress = plan.n_egress
-    egress_bits = plan.egress_bits
-    egress_index = eget(egress_bits)
-    while egress_index >= n_egress:
-        egress_index = eget(egress_bits)
-    egress_ip = plan.egress_ips[egress_index]
-    log = plan.query_log
-    e_src = plan.egress_src[egress_index]
-    s_dst = plan.server_dst
-    assert e_src is not None and s_dst is not None
-    s_ln, s_med, s_sig, s_rate = s_dst
-    e_ln, e_med, e_sig, e_rate = e_src
-    delivered = False
-    t_attempts = 0
-    while t_attempts <= _DEFAULT_RETRIES:
-        t_attempts += 1
-        if t_attempts > 1:
-            stats.retransmissions += 1
-        t_sent = clock._now
-        stats.messages_sent += 1
-        # Request leg: server-destination draw first, then egress source.
-        if s_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            t_latency = s_med * exp(z * s_sig)
-        else:
-            t_latency = s_med
-        t_lost = s_rate > 0.0 and rng_random() < s_rate
-        if e_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            t_latency += e_med * exp(z * e_sig)
-        else:
-            t_latency += e_med
-        if not t_lost:
-            t_lost = e_rate > 0.0 and rng_random() < e_rate
-        if t_lost:
-            stats.requests_lost += 1
-            clock._now = t_sent + _DEFAULT_TIMEOUT
-            continue
-        clock._now = t_sent + t_latency
-        # The server logs every attempt whose request leg survived.
-        timestamp = clock._now
-        entry = _obj_new(LogEntry)
-        _obj_setattr(entry, "__dict__",
-                     {"timestamp": timestamp, "src_ip": egress_ip,
-                      "qname": qname, "qtype": qtype, "msg_id": msg_id})
-        if plan.log_indexed:
-            position = len(log._entries)
-            timestamps = log._timestamps
-            if timestamps and timestamp < timestamps[-1]:
-                log._monotonic = False
-            timestamps.append(timestamp)
-            bucket = log._by_qname.get(qname)
-            if bucket is None:
-                log._by_qname[qname] = bucket = []
-            bucket.append(position)
-            own = log._by_suffix.get(qname)
-            if own is None:
-                log._by_suffix[qname] = own = []
-            own.append(position)
-            for tail in plan.suffix_tails:
-                tail.append(position)
-        log._entries.append(entry)
-        # Response leg.
-        if s_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            t_latency = s_med * exp(z * s_sig)
-        else:
-            t_latency = s_med
-        t_lost = s_rate > 0.0 and rng_random() < s_rate
-        if e_ln:
-            z = rng.gauss_next
-            rng.gauss_next = None
-            if z is None:
-                x2pi = rng_random() * _TWOPI
-                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
-                z = _cos(x2pi) * g2rad
-                rng.gauss_next = _sin(x2pi) * g2rad
-            t_latency += e_med * exp(z * e_sig)
-        else:
-            t_latency += e_med
-        if not t_lost:
-            t_lost = e_rate > 0.0 and rng_random() < e_rate
-        if t_lost:
-            stats.responses_lost += 1
-            deadline = t_sent + _DEFAULT_TIMEOUT
-            if deadline > clock._now:
-                clock._now = deadline
-            continue
-        clock._now += t_latency
-        stats.messages_delivered += 1
-        delivered = True
-        break
-    if not delivered:
-        # The real path raises ResolutionError here and resolve_for_client
-        # swallows it; the observable effect is just these two counters.
-        stats.timeouts += 1
-        pstats.failures += 1
-        return
-    pstats.upstream_queries += 1
-    # -- answer put (see _fused_cde_transaction) ---------------------------
-    ingested_at = clock._now
-    _, wset, _, wrecords, ttl0 = template
-    clamped = cache.clamp_ttl(ttl0)
-    if clamped >= 0:
-        records = []
-        for record in wrecords:
-            owned = _obj_new(ResourceRecord)
-            _obj_setattr(owned, "__dict__",
-                         {"name": qname, "rtype": record.rtype,
-                          "ttl": clamped, "rdata": record.rdata,
-                          "rclass": record.rclass})
-            records.append(owned)
-        stored = _obj_new(RRSet)
-        stored.__dict__ = {"name": qname, "rtype": wset.rtype,
-                           "rclass": wset.rclass, "records": records}
-        centry = _obj_new(CacheEntry)
-        centry.__dict__ = {"name": qname, "rtype": wset.rtype,
-                           "kind": _POSITIVE, "stored_at": ingested_at,
-                           "expires_at": ingested_at + clamped,
-                           "rrset": stored, "soa": None, "hits": 0,
-                           "last_used": ingested_at}
-        cache._insert(centry, ingested_at)
-        return
-    stored = RRSet(qname, wset.rtype, wset.rclass)
-    stored.records = [
-        ResourceRecord(qname, record.rtype, clamped, record.rdata,
-                       record.rclass)
-        for record in wrecords
-    ]
-    cache._insert(CacheEntry(
-        name=qname,
-        rtype=wset.rtype,
-        kind=EntryKind.POSITIVE,
-        stored_at=ingested_at,
-        expires_at=ingested_at + clamped,
-        rrset=stored,
-    ), ingested_at)
-
-
-# cdelint: replica-of=repro.resolver.platform.ResolutionPlatform.resolve_for_client
-def _fused_resolve(plan: _FastPlan, qname: DnsName, qtype: RRType) -> None:
-    """``resolve_for_client`` minus response assembly (nobody reads it)."""
-    platform = plan.platform
-    pstats = platform.stats
-    pstats.queries += 1
-    platform._sequence += 1
-    sel_kind = plan.sel_kind
-    if sel_kind == 2:       # uniform-random: inline randbelow on its rng
-        getrandbits = plan.sel_state
-        n_caches = plan.n_caches
-        sel_bits = plan.sel_bits
-        cache_index = getrandbits(sel_bits)
-        while cache_index >= n_caches:
-            cache_index = getrandbits(sel_bits)
-    elif sel_kind == 4:     # source-ip-hash: the prober is the only client
-        cache_index = plan.sel_state
-    elif sel_kind == 1:     # round-robin: arrival counter
-        selector = plan.sel_state
-        cache_index = selector._next % plan.n_caches
-        selector._next += 1
-    elif sel_kind == 3:     # qname-hash: one digest per distinct name
-        salt, memo = plan.sel_state
-        cache_index = memo.get(qname)
-        if cache_index is None:
-            memo[qname] = cache_index = _stable_hash(
-                salt, str(qname).lower()) % plan.n_caches
-    else:
-        if _FAST_LAYOUT:
-            # Layout-checked __dict__ construction
-            # (see _check_dataclass_layout).
-            context = _obj_new(QueryContext)
-            _obj_setattr(context, "__dict__",
-                         {"qname": qname, "qtype": qtype,
-                          "src_ip": plan.prober_ip,
-                          "sequence": platform._sequence})
-        else:
-            context = QueryContext(qname=qname, qtype=qtype,
-                                   src_ip=plan.prober_ip,
-                                   sequence=platform._sequence)
-        cache_index = plan.cache_selector.select(context, plan.n_caches)
-    cache = plan.caches[cache_index]
-    clock = plan.clock
-    clock._now += 0.0002        # intra-platform hop, as in resolve_for_client
-    centries = cache._entries
-    # Corridor names are freshly minted, so the chain gets at the name are
-    # provable misses; verify the keys really are absent (this covers the
-    # RFC 2308 NXDOMAIN check at (name, ANY) too) and bump the exact stats
-    # the real gets would.  Any surprise → generic chain walk.
-    if ((qname, qtype) not in centries
-            and (qname, RRType.ANY) not in centries
-            and (qname, RRType.CNAME) not in centries
-            and (qname, RRType.NS) not in centries):
-        # _answer_from's chain get + CNAME alias get (when qtype != CNAME).
-        cache.stats.misses += 2 if qtype != RRType.CNAME else 1
+        # Corridor names are freshly minted, so _answer_from's chain get
+        # and CNAME alias get (when qtype != CNAME) are provable misses;
+        # the absent keys above cover the RFC 2308 NXDOMAIN check too.
+        cstats = cache.stats
+        cstats.misses += 2 if qtype is not _CNAME else 1
         pstats.cache_misses += 1
-        try:
-            if not _fused_upstream(plan, cache, cache_index, qname, qtype):
-                # Structural surprise: run the real resolution from exactly
-                # the point the real code would (no mutations happened yet).
-                # Re-serving the resolved chain through the cache is pure.
-                platform._resolve_upstream(cache, qname, qtype)
-        except ResolutionError:
-            pstats.failures += 1
-        return
-    _fused_resolve_chain(plan, cache, cache_index, qname, qtype)
-
-
-# cdelint: replica-of=repro.resolver.platform.ResolutionPlatform._answer_from
-def _fused_resolve_chain(plan: _FastPlan, cache: DnsCache, cache_index: int,
-                         qname: DnsName, qtype: RRType) -> None:
-    """The generic CNAME-chain walk of ``_answer_from`` (rare path)."""
-    platform = plan.platform
-    pstats = platform.stats
-    now = plan.clock._now
-    current = qname
-    for _ in range(MAX_ANSWER_CHAIN):
-        entry = cache.get(current, qtype, now)
-        if entry is not None:
-            # Positive, NXDOMAIN and NODATA hits all end the chain; aging
-            # the RRset for the response is pure and the prefetch hook is
-            # gated off (prefetch_horizon == 0), so nothing else mutates.
-            pstats.cache_hits += 1
-            return
-        if qtype != RRType.CNAME:
-            alias = cache.get(current, RRType.CNAME, now)
-            if alias is not None and alias.kind == EntryKind.POSITIVE:
-                pstats.cache_hits += 1
-                assert alias.rrset is not None
-                target = alias.rrset.records[0].rdata
-                assert isinstance(target, CnameRdata)
-                current = target.target
-                continue
-        pstats.cache_misses += 1
-        try:
-            if not _fused_upstream(plan, cache, cache_index, current, qtype):
-                platform._resolve_upstream(cache, current, qtype)
-        except ResolutionError:
-            pstats.failures += 1
-        return
-    return  # chain too long: SERVFAIL without a failures increment
-
-
-# cdelint: replica-of=repro.resolver.platform.ResolutionPlatform._resolve_upstream
-def _fused_upstream(plan: _FastPlan, cache: DnsCache, cache_index: int,
-                    qname: DnsName, qtype: RRType) -> bool:
-    """Fused ``_resolve_upstream`` for the single-authority CDE case.
-
-    Returns ``False`` — having mutated nothing — when the cached authority
-    walk would not land on exactly the CDE nameserver with a one-lookup
-    authoritative answer; the caller then takes the generic path.  Raises
-    :class:`ResolutionError` (like the real path) when every attempt to
-    reach the server is lost.
-    """
-    now = plan.clock._now
-    template = plan.template
-    if template is not None and qtype is RRType.A:
-        memo = plan.corridor[cache_index]
-        if memo is not None:
-            ns_entry, a_entry = memo
-            centries = cache._entries
+        template = plan.template
+        memo2 = plan.corridor[cache_index]
+        if memo2 is not None and template is not None and qtype is RRType.A:
+            ns_entry, a_entry = memo2
             a_key = plan.a_key
             zone = plan.zone
-            assert a_key is not None and zone is not None
             # The memo stands while both corridor entries are the very
             # objects cached before and still live; the template while the
-            # wildcard RRset object is unchanged.  Any replacement, expiry
-            # or added record fails the check → slow path re-derives.
-            if (centries.get(plan.ns_key) is ns_entry
+            # wildcard RRset object is unchanged.
+            if (a_key is not None and zone is not None
+                    and centries.get(plan.ns_key) is ns_entry
                     and now < ns_entry.expires_at
                     and centries.get(a_key) is a_entry
                     and now < a_entry.expires_at
                     and zone._rrsets.get(template[0]) is template[1]
                     and len(template[1].records) == template[2]):
-                # The warm corridor: replay the exact stat/recency mutations
-                # of _from_cache (two misses at the fresh name),
-                # _closest_known_authority (miss at the name's own NS key,
-                # then hits on the memoized (base, NS) and (ns, A) entries)
-                # and the answer put — without the dictionary walks, zone
-                # lookup or intermediate RRSet copies.
-                cstats = cache.stats
+                # The warm corridor: replay the stat/recency mutations of
+                # _from_cache (two misses at the fresh name) and
+                # _closest_known_authority (a miss at the name's own NS
+                # key, then hits on the memoized (base, NS) and (ns, A)
+                # entries) without the dictionary walks.
                 cstats.misses += 3
                 ns_entry.hits += 1
                 ns_entry.last_used = now
@@ -1273,57 +869,71 @@ def _fused_upstream(plan: _FastPlan, cache: DnsCache, cache_index: int,
                 a_entry.last_used = now
                 cstats.hits += 2
                 _fused_cde_transaction(plan, cache, qname, qtype, template)
-                return True
-        elif not cache._entries:
-            chain = plan.cold
-            if chain is not None and chain.valid():
-                # A re-capture inside valid() may have refreshed the chain;
-                # re-sync the plan's view before replaying.
-                template = chain.template
-                zone = chain.zone
-                if (template is not None and zone is not None
-                        and zone._rrsets.get(template[0]) is template[1]
-                        and len(template[1].records) == template[2]):
-                    plan.zone = zone
-                    plan.template = template
-                    plan.a_key = chain.a_key
-                    return _fused_upstream_cold(plan, cache, cache_index,
-                                                qname, qtype, template)
-    return _fused_upstream_slow(plan, cache, cache_index, qname, qtype)
+                return
+        if not _fused_upstream(plan, cache, cache_index, qname, qtype):
+            platform._resolve_upstream(cache, qname, qtype)
+    except ResolutionError:
+        pstats.failures += 1
+
+
+# cdelint: replica-of=repro.resolver.platform.ResolutionPlatform._resolve_upstream
+def _fused_upstream(plan: _FastPlan, cache: DnsCache, cache_index: int,
+                    qname: DnsName, qtype: RRType) -> bool:
+    """Cold ``_resolve_upstream``: replay the captured referral chain.
+
+    Returns ``False`` — having mutated nothing — unless the cache is empty
+    and the lane's cold chain still matches the world; the caller then
+    runs the real ``_resolve_upstream``.  Raises
+    :class:`ResolutionError` (like the real path) when every attempt to
+    reach a server is lost.
+    """
+    if cache._entries or qtype is not RRType.A:
+        return False
+    chain = plan.cold
+    if chain is None or not chain.valid():
+        return False
+    # A re-capture inside valid() may have refreshed the chain; re-sync
+    # the plan's view before replaying.
+    template = chain.template
+    zone = chain.zone
+    if (template is None or zone is None
+            or zone._rrsets.get(template[0]) is not template[1]
+            or len(template[1].records) != template[2]):
+        return False
+    plan.zone = zone
+    plan.template = template
+    plan.a_key = chain.a_key
+    _fused_upstream_cold(plan, cache, cache_index, qname, qtype, template)
+    return True
 
 
 def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
                          qname: DnsName, qtype: RRType,
-                         template: _Template) -> bool:
+                         template: _Template) -> None:
     """Replay the captured referral chain into an empty cache.
 
     Every cache lookup on an empty cache is a miss, so the _from_cache and
     authority-walk gets collapse to one counter bump; the per-hop draws,
     clock advances, server-log records and referral-RRset puts then replay
     the real iterative descent exactly (glue answers every hop, so no
-    intermediate cache reads happen).  Finishing warms the corridor memo
-    directly — the slow path never runs for this cache.
+    intermediate cache reads happen).  The referral puts create the
+    cache's corridor entries, which become its warm-corridor memo.
     """
     cache.stats.misses += plan.cold_walk_misses
     clock = plan.clock
     stats = plan.stats
-    fast = plan.fast_links
     chain = plan.cold
     assert chain is not None and chain.levels is not None
-    for (server, zone_name, dst_params, dst_profile, ingest, level_log,
+    for (server, zone_name, dst_params, ingest, level_log,
          tails) in chain.levels:
-        if _INLINE_RANDBELOW:
-            getrandbits = plan.platform_getrandbits
+        getrandbits = plan.platform_getrandbits
+        msg_id = getrandbits(17)
+        while msg_id >= 65536:
             msg_id = getrandbits(17)
-            while msg_id >= 65536:
-                msg_id = getrandbits(17)
-            getrandbits = plan.egress_getrandbits
+        getrandbits = plan.egress_getrandbits
+        egress_index = getrandbits(plan.egress_bits)
+        while egress_index >= plan.n_egress:
             egress_index = getrandbits(plan.egress_bits)
-            while egress_index >= plan.n_egress:
-                egress_index = getrandbits(plan.egress_bits)
-        else:
-            msg_id = plan.platform_randrange(1 << 16)
-            egress_index = plan.egress_randrange(plan.n_egress)
         egress_ip = plan.egress_ips[egress_index]
         src_params = plan.egress_src[egress_index]
         delivered = False
@@ -1334,55 +944,37 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
                 stats.retransmissions += 1
             sent_at = clock._now
             stats.messages_sent += 1
-            if fast and dst_params is not None:
-                assert src_params is not None
-                lost, latency = _leg(plan, src_params, dst_params)
-            else:
-                lost, latency = plan.network._traverse(
-                    plan.egress_profiles[egress_index], dst_profile)
+            lost, latency = _leg(plan, src_params, dst_params)
             if lost:
                 stats.requests_lost += 1
                 clock._now = sent_at + _DEFAULT_TIMEOUT
                 continue
             clock._now = sent_at + latency
-            # Inlined QueryLog.record against this level's log; the suffix
-            # buckets above the fresh qname are the tail lists captured
-            # with the chain.
+            # Inlined QueryLog.record against this level's indexed log;
+            # the suffix buckets above the fresh qname are the tail lists
+            # captured with the chain.
             timestamp = clock._now
-            if _FAST_LAYOUT:
-                entry = _obj_new(LogEntry)
-                _obj_setattr(entry, "__dict__",
-                             {"timestamp": timestamp, "src_ip": egress_ip,
-                              "qname": qname, "qtype": qtype,
-                              "msg_id": msg_id})
-            else:
-                entry = LogEntry(timestamp=timestamp, src_ip=egress_ip,
-                                 qname=qname, qtype=qtype, msg_id=msg_id)
-            if tails is not None:
-                position = len(level_log._entries)
-                timestamps = level_log._timestamps
-                if timestamps and timestamp < timestamps[-1]:
-                    level_log._monotonic = False
-                timestamps.append(timestamp)
-                bucket = level_log._by_qname.get(qname)
-                if bucket is None:
-                    level_log._by_qname[qname] = bucket = []
-                bucket.append(position)
-                own = level_log._by_suffix.get(qname)
-                if own is None:
-                    level_log._by_suffix[qname] = own = []
-                own.append(position)
-                for tail in tails:
-                    tail.append(position)
-                level_log._entries.append(entry)
-            else:
-                level_log.record(entry)
-            if fast and dst_params is not None:
-                assert src_params is not None
-                lost, latency = _leg(plan, src_params, dst_params)
-            else:
-                lost, latency = plan.network._traverse(
-                    plan.egress_profiles[egress_index], dst_profile)
+            entry = _obj_new(LogEntry)
+            _obj_setattr(entry, "__dict__",
+                         {"timestamp": timestamp, "src_ip": egress_ip,
+                          "qname": qname, "qtype": qtype, "msg_id": msg_id})
+            position = len(level_log._entries)
+            timestamps = level_log._timestamps
+            if timestamps and timestamp < timestamps[-1]:
+                level_log._monotonic = False
+            timestamps.append(timestamp)
+            bucket = level_log._by_qname.get(qname)
+            if bucket is None:
+                level_log._by_qname[qname] = bucket = []
+            bucket.append(position)
+            own = level_log._by_suffix.get(qname)
+            if own is None:
+                level_log._by_suffix[qname] = own = []
+            own.append(position)
+            for tail in tails:
+                tail.append(position)
+            level_log._entries.append(entry)
+            lost, latency = _leg(plan, src_params, dst_params)
             if lost:
                 stats.responses_lost += 1
                 deadline = sent_at + _DEFAULT_TIMEOUT
@@ -1402,30 +994,28 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
         for rrset in ingest:
             # put_rrset, layout-checked: clamp, re-own the records at the
             # clamped TTL (with_ttl keeps each record's own name) and
-            # insert the positive entry.
+            # insert the positive entry.  DnsCache enforces
+            # 0 <= min_ttl <= max_ttl, so the clamped TTL is never negative.
             clamped = cache.clamp_ttl(rrset.ttl)
-            if _FAST_LAYOUT and clamped >= 0:
-                records = []
-                for record in rrset.records:
-                    owned = _obj_new(ResourceRecord)
-                    _obj_setattr(owned, "__dict__",
-                                 {"name": record.name, "rtype": record.rtype,
-                                  "ttl": clamped, "rdata": record.rdata,
-                                  "rclass": record.rclass})
-                    records.append(owned)
-                clone = _obj_new(RRSet)
-                clone.__dict__ = {"name": rrset.name, "rtype": rrset.rtype,
-                                  "rclass": rrset.rclass, "records": records}
-                centry = _obj_new(CacheEntry)
-                centry.__dict__ = {"name": rrset.name, "rtype": rrset.rtype,
-                                   "kind": _POSITIVE,
-                                   "stored_at": ingested_at,
-                                   "expires_at": ingested_at + clamped,
-                                   "rrset": clone, "soa": None, "hits": 0,
-                                   "last_used": ingested_at}
-                cache._insert(centry, ingested_at)
-            else:
-                cache.put_rrset(rrset, ingested_at)
+            records = []
+            for record in rrset.records:
+                owned = _obj_new(ResourceRecord)
+                _obj_setattr(owned, "__dict__",
+                             {"name": record.name, "rtype": record.rtype,
+                              "ttl": clamped, "rdata": record.rdata,
+                              "rclass": record.rclass})
+                records.append(owned)
+            clone = _obj_new(RRSet)
+            clone.__dict__ = {"name": rrset.name, "rtype": rrset.rtype,
+                              "rclass": rrset.rclass, "records": records}
+            centry = _obj_new(CacheEntry)
+            centry.__dict__ = {"name": rrset.name, "rtype": rrset.rtype,
+                               "kind": _POSITIVE,
+                               "stored_at": ingested_at,
+                               "expires_at": ingested_at + clamped,
+                               "rrset": clone, "soa": None, "hits": 0,
+                               "last_used": ingested_at}
+            cache._insert(centry, ingested_at)
     _fused_cde_transaction(plan, cache, qname, qtype, template)
     # The referral puts above created this cache's corridor entries.
     ns_entry = cache._entries.get(plan.ns_key)
@@ -1434,40 +1024,37 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
         a_entry = cache._entries.get(a_key)
         if a_entry is not None:
             plan.corridor[cache_index] = (ns_entry, a_entry)
-    return True
 
 
 def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
                            qtype: RRType, template: _Template) -> None:
     """One egress transaction to the CDE nameserver plus the answer put.
 
-    Raises :class:`ResolutionError` (like the real path) when every
-    attempt is lost.
+    The link-model draws are :func:`_leg`'s, inlined.  Raises
+    :class:`ResolutionError` (like the real path) when every attempt is
+    lost.
     """
     # _try_servers: shuffling the one-candidate list draws nothing; the
     # query-id draw and the per-send egress draw happen in this order, once
     # per send call (retransmissions reuse both).
-    if _INLINE_RANDBELOW:
-        getrandbits = plan.platform_getrandbits
-        msg_id = getrandbits(17)
-        while msg_id >= 65536:
-            msg_id = getrandbits(17)
-        getrandbits = plan.egress_getrandbits
-        n_egress = plan.n_egress
-        egress_bits = plan.egress_bits
-        egress_index = getrandbits(egress_bits)
-        while egress_index >= n_egress:
-            egress_index = getrandbits(egress_bits)
-    else:
-        msg_id = plan.platform_randrange(1 << 16)
-        egress_index = plan.egress_randrange(plan.n_egress)
+    pget = plan.platform_getrandbits
+    msg_id = pget(17)
+    while msg_id >= 65536:
+        msg_id = pget(17)
+    eget = plan.egress_getrandbits
+    n_egress = plan.n_egress
+    egress_bits = plan.egress_bits
+    egress_index = eget(egress_bits)
+    while egress_index >= n_egress:
+        egress_index = eget(egress_bits)
     egress_ip = plan.egress_ips[egress_index]
-
     clock = plan.clock
     stats = plan.stats
     log = plan.query_log
-    fast = plan.fast_links
-    src_params = plan.egress_src[egress_index]
+    rng = plan.network_rng
+    rng_random = rng.random
+    s_ln, s_med, s_sig, s_rate = plan.server_dst
+    e_ln, e_med, e_sig, e_rate = plan.egress_src[egress_index]
     delivered = False
     attempts = 0
     while attempts <= _DEFAULT_RETRIES:
@@ -1476,12 +1063,32 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
             stats.retransmissions += 1
         sent_at = clock._now
         stats.messages_sent += 1
-        if fast:
-            assert src_params is not None and plan.server_dst is not None
-            lost, latency = _leg(plan, src_params, plan.server_dst)
+        # Request leg: server-destination draw first, then egress source.
+        if s_ln:
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                x2pi = rng_random() * _TWOPI
+                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
+                z = _cos(x2pi) * g2rad
+                rng.gauss_next = _sin(x2pi) * g2rad
+            latency = s_med * exp(z * s_sig)
         else:
-            lost, latency = plan.network._traverse(
-                plan.egress_profiles[egress_index], plan.server_profile)
+            latency = s_med
+        lost = s_rate > 0.0 and rng_random() < s_rate
+        if e_ln:
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                x2pi = rng_random() * _TWOPI
+                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
+                z = _cos(x2pi) * g2rad
+                rng.gauss_next = _sin(x2pi) * g2rad
+            latency += e_med * exp(z * e_sig)
+        else:
+            latency += e_med
+        if not lost:
+            lost = e_rate > 0.0 and rng_random() < e_rate
         if lost:
             stats.requests_lost += 1
             clock._now = sent_at + _DEFAULT_TIMEOUT
@@ -1492,41 +1099,56 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
         # lost.  Inlined QueryLog.record: the suffix buckets above the
         # fresh qname are the precomputed base-domain tail lists.
         timestamp = clock._now
-        if _FAST_LAYOUT:
-            entry = _obj_new(LogEntry)
-            _obj_setattr(entry, "__dict__",
-                         {"timestamp": timestamp, "src_ip": egress_ip,
-                          "qname": qname, "qtype": qtype, "msg_id": msg_id})
-        else:
-            entry = LogEntry(timestamp=timestamp, src_ip=egress_ip,
-                             qname=qname, qtype=qtype, msg_id=msg_id)
-        if plan.log_indexed:
-            position = len(log._entries)
-            timestamps = log._timestamps
-            if timestamps and timestamp < timestamps[-1]:
-                log._monotonic = False
-            timestamps.append(timestamp)
-            bucket = log._by_qname.get(qname)
-            if bucket is None:
-                log._by_qname[qname] = bucket = []
-            bucket.append(position)
-            own = log._by_suffix.get(qname)
-            if own is None:
-                log._by_suffix[qname] = own = []
-            own.append(position)
-            for tail in plan.suffix_tails:
-                tail.append(position)
+        entry = _obj_new(LogEntry)
+        _obj_setattr(entry, "__dict__",
+                     {"timestamp": timestamp, "src_ip": egress_ip,
+                      "qname": qname, "qtype": qtype, "msg_id": msg_id})
+        position = len(log._entries)
+        timestamps = log._timestamps
+        if timestamps and timestamp < timestamps[-1]:
+            log._monotonic = False
+        timestamps.append(timestamp)
+        bucket = log._by_qname.get(qname)
+        if bucket is None:
+            log._by_qname[qname] = bucket = []
+        bucket.append(position)
+        own = log._by_suffix.get(qname)
+        if own is None:
+            log._by_suffix[qname] = own = []
+        own.append(position)
+        for tail in plan.suffix_tails:
+            tail.append(position)
         log._entries.append(entry)
-        if fast:
-            assert src_params is not None and plan.server_dst is not None
-            lost, latency = _leg(plan, src_params, plan.server_dst)
+        # Response leg.
+        if s_ln:
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                x2pi = rng_random() * _TWOPI
+                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
+                z = _cos(x2pi) * g2rad
+                rng.gauss_next = _sin(x2pi) * g2rad
+            latency = s_med * exp(z * s_sig)
         else:
-            lost, latency = plan.network._traverse(
-                plan.egress_profiles[egress_index], plan.server_profile)
+            latency = s_med
+        lost = s_rate > 0.0 and rng_random() < s_rate
+        if e_ln:
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                x2pi = rng_random() * _TWOPI
+                g2rad = _sqrt(-2.0 * _log(1.0 - rng_random()))
+                z = _cos(x2pi) * g2rad
+                rng.gauss_next = _sin(x2pi) * g2rad
+            latency += e_med * exp(z * e_sig)
+        else:
+            latency += e_med
+        if not lost:
+            lost = e_rate > 0.0 and rng_random() < e_rate
         if lost:
             stats.responses_lost += 1
             deadline = sent_at + _DEFAULT_TIMEOUT
-            if deadline > clock._now:
+            if deadline > clock._now:           # max(now, deadline)
                 clock._now = deadline
             continue
         clock._now += latency
@@ -1543,210 +1165,29 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
     # _ingest_response + put_rrset, collapsed: synthesize the wildcard
     # answer re-owned to qname with the TTL already clamped — exactly the
     # RRSet ``group_rrsets(lookup.records) → put_rrset`` would store.
+    # Layout-checked __dict__ construction; DnsCache enforces
+    # 0 <= min_ttl <= max_ttl, so the clamped TTL is never negative.
     ingested_at = clock._now
     _, wset, _, wrecords, ttl0 = template
     clamped = cache.clamp_ttl(ttl0)
-    if _FAST_LAYOUT and clamped >= 0:
-        # Layout-checked __dict__ construction; the real path would raise
-        # on a negative TTL, so that (unreachable) case keeps it.
-        records = []
-        for record in wrecords:
-            owned = _obj_new(ResourceRecord)
-            _obj_setattr(owned, "__dict__",
-                         {"name": qname, "rtype": record.rtype,
-                          "ttl": clamped, "rdata": record.rdata,
-                          "rclass": record.rclass})
-            records.append(owned)
-        stored = _obj_new(RRSet)
-        stored.__dict__ = {"name": qname, "rtype": wset.rtype,
-                           "rclass": wset.rclass, "records": records}
-        centry = _obj_new(CacheEntry)
-        centry.__dict__ = {"name": qname, "rtype": wset.rtype,
-                           "kind": _POSITIVE, "stored_at": ingested_at,
-                           "expires_at": ingested_at + clamped,
-                           "rrset": stored, "soa": None, "hits": 0,
-                           "last_used": ingested_at}
-        cache._insert(centry, ingested_at)
-        return
-    stored = RRSet(qname, wset.rtype, wset.rclass)
-    stored.records = [
-        ResourceRecord(qname, record.rtype, clamped, record.rdata,
-                       record.rclass)
-        for record in wrecords
-    ]
-    cache._insert(CacheEntry(
-        name=qname,
-        rtype=wset.rtype,
-        kind=EntryKind.POSITIVE,
-        stored_at=ingested_at,
-        expires_at=ingested_at + clamped,
-        rrset=stored,
-    ), ingested_at)
-
-
-def _fused_upstream_slow(plan: _FastPlan, cache: DnsCache, cache_index: int,
-                         qname: DnsName, qtype: RRType) -> bool:
-    """Full fused upstream: gate with peeks, commit with real calls.
-
-    This is the path every (platform, cache) pair takes while cold; on
-    success it memoizes the corridor entries and the wildcard template so
-    subsequent probes take :func:`_fused_upstream_fast`.
-    """
-    clock = plan.clock
-    now = clock._now
-
-    # -- pure gate: replay _closest_known_authority with stat-free peeks.
-    authority_ips: list[str] = []
-    for zone_name in qname.ancestors(include_self=True):
-        ns_entry = cache.peek(zone_name, RRType.NS, now)
-        if ns_entry is None or ns_entry.kind != EntryKind.POSITIVE:
-            continue
-        ips: list[str] = []
-        assert ns_entry.rrset is not None
-        for record in ns_entry.rrset:
-            if not isinstance(record.rdata, NsRdata):
-                return False
-            address_entry = cache.peek(record.rdata.nsdname, RRType.A, now)
-            if address_entry is not None and \
-                    address_entry.kind == EntryKind.POSITIVE:
-                assert address_entry.rrset is not None
-                for a_record in address_entry.rrset:
-                    ips.append(a_record.rdata.address)  # type: ignore[attr-defined]
-        if ips:
-            authority_ips = ips
-            break
-    if authority_ips != [plan.ns_ip]:
-        return False            # cold cache or unexpected authority set
-
-    # -- pure gate: the server must answer this in one authoritative lookup.
-    zone = plan.server.zone_for(qname)
-    if zone is None:
-        return False
-    lookup = zone.lookup(qname, qtype)
-    if lookup.kind != LookupKind.ANSWER or not lookup.records:
-        return False
-
-    # -- committed: replay the real mutation sequence, in order. --
-
-    # IterativeResolver._from_cache — the caller just missed, so both gets
-    # miss again; the calls must still happen (they move cache stats).
-    cache.get(qname, qtype, now)
-    if qtype != RRType.CNAME:
-        cache.get(qname, RRType.CNAME, now)
-    # _closest_known_authority again, now with the mutating gets (stats,
-    # recency touches, expired-entry deletion).  peek and get agree on
-    # hit-or-miss at the same ``now``, so the walk stops where the gate did.
-    walk_zone_name: Optional[DnsName] = None
-    walk_ns_entry: Optional[CacheEntry] = None
-    walk_a_entry: Optional[CacheEntry] = None
-    walk_a_entries = 0
-    for zone_name in qname.ancestors(include_self=True):
-        ns_entry2 = cache.get(zone_name, RRType.NS, now)
-        if ns_entry2 is None or ns_entry2.kind != EntryKind.POSITIVE:
-            continue
-        walk_ips: list[str] = []
-        assert ns_entry2.rrset is not None
-        for record in ns_entry2.rrset:
-            assert isinstance(record.rdata, NsRdata)
-            address_entry2 = cache.get(record.rdata.nsdname, RRType.A, now)
-            if address_entry2 is not None and \
-                    address_entry2.kind == EntryKind.POSITIVE:
-                assert address_entry2.rrset is not None
-                for a_record2 in address_entry2.rrset:
-                    walk_ips.append(
-                        a_record2.rdata.address)  # type: ignore[attr-defined]
-                walk_a_entry = address_entry2
-                walk_a_entries += 1
-        if walk_ips:
-            walk_zone_name = zone_name
-            walk_ns_entry = ns_entry2
-            break
-
-    # _try_servers: shuffling the one-candidate list draws nothing; the
-    # query-id draw and the per-send egress draw happen in this order, once
-    # per send call (retransmissions reuse both).
-    msg_id = plan.platform.rng.randrange(1 << 16)
-    egress_index = plan.egress_selector.select(plan.ns_ip, plan.n_egress)
-    egress_ip = plan.egress_ips[egress_index]
-    src_profile = plan.egress_profiles[egress_index]
-    network = plan.network
-    stats = plan.stats
-    delivered = False
-    attempts = 0
-    while attempts <= _DEFAULT_RETRIES:
-        attempts += 1
-        if attempts > 1:
-            stats.retransmissions += 1
-        sent_at = clock.now
-        stats.messages_sent += 1
-        lost, request_latency = network._traverse(src_profile,
-                                                  plan.server_profile)
-        if lost:
-            stats.requests_lost += 1
-            clock.advance_to(sent_at + _DEFAULT_TIMEOUT)
-            continue
-        clock.advance(request_latency)
-        # AuthoritativeServer.handle_message logs every attempt whose
-        # request leg survived — including those whose response is then
-        # lost: the server did its work either way.  Retransmissions share
-        # (src, msg_id, question), so transaction counting dedups them.
-        plan.query_log.record(LogEntry(
-            timestamp=clock.now, src_ip=egress_ip,
-            qname=qname, qtype=qtype, msg_id=msg_id,
-        ))
-        lost, response_latency = network._traverse(src_profile,
-                                                   plan.server_profile)
-        if lost:
-            stats.responses_lost += 1
-            clock.advance_to(max(clock.now,
-                                 sent_at + _DEFAULT_TIMEOUT))
-            continue
-        clock.advance(response_latency)
-        stats.messages_delivered += 1
-        delivered = True
-        break
-    if not delivered:
-        stats.timeouts += 1
-        raise ResolutionError(
-            f"no authority for {qname} responded (zone {zone.origin})")
-    plan.platform.stats.upstream_queries += 1
-    # _ingest_response: cache exactly what the server's answer carries.
-    # The zone synthesizes fresh (content-identical) records per lookup, so
-    # the gate's lookup stands in for the answered attempt's.
-    ingested_at = clock.now
-    for rrset in group_rrsets(lookup.records):
-        cache.put_rrset(rrset, ingested_at)
-
-    # -- memoize the warm corridor for _fused_upstream_fast ----------------
-    # Eligible only in the canonical shape: the walk stopped at the base
-    # domain (the first ancestor every fresh corridor name shares), on a
-    # single-record NS set resolved through exactly one address entry.
-    if (walk_zone_name == plan.base_domain and walk_ns_entry is not None
-            and walk_a_entry is not None and walk_a_entries == 1
-            and len(walk_ns_entry.rrset.records) == 1  # type: ignore[union-attr]
-            and authority_ips == [plan.ns_ip]):
-        first = walk_ns_entry.rrset.records[0]  # type: ignore[union-attr]
-        assert isinstance(first.rdata, NsRdata)
-        plan.a_key = (first.rdata.nsdname, RRType.A)
-        plan.corridor[cache_index] = (walk_ns_entry, walk_a_entry)
-    if plan.template is None and qtype is RRType.A and \
-            zone.origin == plan.base_domain:
-        wkey = (plan.base_domain.prepend(WILDCARD_LABEL), RRType.A)
-        wset = zone._rrsets.get(wkey)
-        # Self-check: the real lookup's answer must be exactly the wildcard
-        # synthesis this template would produce for qname.
-        if wset is not None and wset.records and lookup.records == [
-                ResourceRecord(qname, record.rtype, record.ttl,
-                               record.rdata, record.rclass)
-                for record in wset.records]:
-            min_ttl = wset.records[0].ttl
-            for record in wset.records:
-                if record.ttl < min_ttl:
-                    min_ttl = record.ttl
-            plan.zone = zone
-            plan.template = (wkey, wset, len(wset.records),
-                             tuple(wset.records), min_ttl)
-    return True
+    records = []
+    for record in wrecords:
+        owned = _obj_new(ResourceRecord)
+        _obj_setattr(owned, "__dict__",
+                     {"name": qname, "rtype": record.rtype,
+                      "ttl": clamped, "rdata": record.rdata,
+                      "rclass": record.rclass})
+        records.append(owned)
+    stored = _obj_new(RRSet)
+    stored.__dict__ = {"name": qname, "rtype": wset.rtype,
+                       "rclass": wset.rclass, "records": records}
+    centry = _obj_new(CacheEntry)
+    centry.__dict__ = {"name": qname, "rtype": wset.rtype,
+                       "kind": _POSITIVE, "stored_at": ingested_at,
+                       "expires_at": ingested_at + clamped,
+                       "rrset": stored, "soa": None, "hits": 0,
+                       "last_used": ingested_at}
+    cache._insert(centry, ingested_at)
 
 
 def _measure_direct_turns(lane: "ShardLane", hosted: HostedPlatform
@@ -1769,16 +1210,10 @@ def _measure_direct_turns(lane: "ShardLane", hosted: HostedPlatform
     plan = _FastPlan.build(world, hosted, lane.cold_chains)
     qtype = RRType.A
 
-    # The fully flattened probe only when every inline replica verified
-    # and the plan's links take the gated fast models.
-    fused = (_fused_probe_flat
-             if plan is not None and plan.fast_links and _FULL_FAST
-             else _fused_probe)
-
     def probe_delivered(probe_name: DnsName) -> bool:
         if plan is not None:
             lane.fused_probes += 1
-            return fused(plan, probe_name, qtype)
+            return _fused_probe_flat(plan, probe_name, qtype)
         lane.fallback_probes += 1
         return prober.probe(ingress_ip, probe_name, qtype).delivered
 

@@ -9,7 +9,7 @@ throwaway frame or container per probe.
 _KINDS = ("direct", "smtp")
 
 
-def _fused_probe(steps: list[str], rows: list[str]) -> int:
+def _fused_probe_flat(steps: list[str], rows: list[str]) -> int:
     hits = 0
     prefix = "probe-"
     for step in steps:

@@ -111,7 +111,7 @@ def _hot_tree(tmp_path: Path, body: str) -> Path:
 def test_cde018_fixes_constant_fstring_and_extend_genexp(tmp_path):
     snippet = _hot_tree(
         tmp_path,
-        "def _fused_probe(steps: list[str], rows: list[str]) -> str:\n"
+        "def _fused_probe_flat(steps: list[str], rows: list[str]) -> str:\n"
         "    label = ''\n"
         "    for step in steps:\n"
         "        label = f\"probe-direct\"\n"
@@ -136,7 +136,7 @@ def test_cde018_leaves_judgement_calls_for_the_human(tmp_path):
     # A *formatting* f-string and an all-constant display both need a
     # decision about where the hoisted value lives — no mechanical fix.
     source = (
-        "def _fused_probe(steps: list[str]) -> int:\n"
+        "def _fused_probe_flat(steps: list[str]) -> int:\n"
         "    hits = 0\n"
         "    for step in steps:\n"
         "        if step in {'direct', 'smtp'} or step == f'probe-{hits}':\n"

@@ -168,12 +168,19 @@ def test_engine_replicas_resolve_against_the_real_tree():
     summaries = summarize_tree(SRC)
     bindings, errors = collect_bindings(summaries, LintConfig())
     assert not errors
-    assert len(bindings) >= 7
+    # Exactly the four fused frames, each bound to its structured
+    # original: a frame added or dropped without its marker fails here.
+    pairs = {(binding.replica_key.split("::", 1)[1],
+              binding.original_key.split("::", 1)[1])
+             for binding in bindings}
+    assert len(bindings) == len(pairs) == 4
+    assert pairs == {
+        ("_leg", "Network._traverse"),
+        ("_fused_probe_flat", "DirectProber.probe"),
+        ("_fused_resolve_flat", "ResolutionPlatform.resolve_for_client"),
+        ("_fused_upstream", "ResolutionPlatform._resolve_upstream"),
+    }
     assert all(binding.checked for binding in bindings)
-    originals = {binding.original_key.split("::", 1)[1]
-                 for binding in bindings}
-    assert "ResolutionPlatform.resolve_for_client" in originals
-    assert "DirectProber.probe" in originals
     key = resolve_dotted(summaries,
                          "repro.resolver.platform.ResolutionPlatform"
                          ".resolve_for_client")

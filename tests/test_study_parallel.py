@@ -26,6 +26,8 @@ from repro.study import (
     run_shard,
     shard_seed,
 )
+from repro.study import engine
+from repro.study.export import measurement_to_ndjson
 from repro.study.parallel import _encode_task, _run_shard_payload
 from repro.net.rng import derive_seed
 
@@ -89,6 +91,31 @@ class TestDeterminismAcrossWorkers:
                                            n_shards=N_SHARDS,
                                            budget=FAST_BUDGET)
         assert [row.spec.name for row in rows] == [s.name for s in specs]
+
+
+class TestFusedCorridorGate:
+    """``_FastPlan.build`` is the fused corridor's only gate."""
+
+    def _run(self, specs):
+        result = run_parallel_measurement(specs, base_seed=SEED, workers=0,
+                                          n_shards=5, budget=FAST_BUDGET)
+        ndjson = "".join(measurement_to_ndjson(row) for row in result.rows)
+        return ndjson.encode(), result.perf
+
+    def test_failed_import_check_sends_every_probe_down_the_structured_path(
+            self, monkeypatch):
+        specs = generate_population("open-resolvers", 60, seed=SEED, **CAPS)
+        fused_bytes, fused = self._run(specs)
+        monkeypatch.setattr(engine, "_FULL_FAST", False)
+        structured_bytes, structured = self._run(specs)
+        assert structured_bytes == fused_bytes
+        assert structured.stats == fused.stats
+        assert fused.fused_probes > 0
+        assert fused.fallback_probes == 0
+        # A failed import-time check must be visible, not absorbed by some
+        # other replica tier: every probe is a counted fallback.
+        assert structured.fused_probes == 0
+        assert structured.fallback_probes == fused.fused_probes
 
 
 class TestMerging:
