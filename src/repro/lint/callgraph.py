@@ -38,14 +38,15 @@ from .topo import AddrSite, CacheSite, ComponentDecl, TtlSite, \
 #: Version 2 added the dataflow layer: per-function flow edges, taint
 #: sites, handler shapes, global read/mutation sets and parameter lists,
 #: plus per-module mutable-global indexes.
-#: Version 3 added the cdesync layer: per-function effect traces and
-#: replica-of bindings, plus per-module dataclass field orders.
+#: Version 3 added the cdesync layer (per-function effect traces,
+#: replica-of bindings, per-module dataclass field orders); version 6
+#: removed it with the retired CDE015/CDE016.
 #: Version 4 added the cdebound layer: container-growth sites, hot-loop
 #: allocation sites, write-open sites, and the generator/rename flags.
 #: Version 5 added the cdetopo layer: address-provenance sites, cache
 #: ownership/passing sites, TTL-arithmetic sites, and per-module
 #: component declarations.
-SUMMARY_VERSION = 5
+SUMMARY_VERSION = 6
 
 #: Pseudo-function key for statements at module / class-body level.
 MODULE_SCOPE = "<module>"
@@ -108,9 +109,6 @@ class FunctionSummary:
     global_reads: tuple[str, ...] = ()         # module mutable globals read
     global_mutations: tuple[str, ...] = ()     # ... and mutated
     params: tuple[str, ...] = ()               # parameter names ("*" marker)
-    # -- cdesync layer (summary version 3) ----------------------------------
-    trace_json: str = ""               # effect trace (repro.lint.trace), or ""
-    replica_of: str = ""               # ``# cdelint: replica-of=`` target
     # -- cdebound layer (summary version 4) ---------------------------------
     growth: tuple[GrowthSite, ...] = ()   # container-growth sites (CDE017)
     allocs: tuple[AllocSite, ...] = ()    # hot-loop allocation sites (CDE018)
@@ -136,8 +134,6 @@ class FunctionSummary:
             "global_reads": list(self.global_reads),
             "global_mutations": list(self.global_mutations),
             "params": list(self.params),
-            "trace": self.trace_json,
-            "replica_of": self.replica_of,
             "growth": [site.to_json() for site in self.growth],
             "allocs": [site.to_json() for site in self.allocs],
             "opens": [site.to_json() for site in self.opens],
@@ -171,8 +167,6 @@ class FunctionSummary:
             global_mutations=tuple(
                 str(n) for n in raw["global_mutations"]),  # type: ignore[union-attr]
             params=tuple(str(p) for p in raw["params"]),  # type: ignore[union-attr]
-            trace_json=str(raw.get("trace", "")),
-            replica_of=str(raw.get("replica_of", "")),
             growth=tuple(GrowthSite.from_json(s)
                          for s in raw.get("growth", ())),  # type: ignore[union-attr]
             allocs=tuple(AllocSite.from_json(s)
@@ -202,8 +196,6 @@ class ModuleSummary:
     file_suppressions: tuple[str, ...] = ()
     #: module-level names bound to mutable containers (name -> def line)
     mutable_globals: dict[str, int] = field(default_factory=dict)
-    #: ordered field names of @dataclass classes (cdesync / CDE016)
-    dataclass_fields: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: every class with its component declaration (cdetopo / CDE020-022);
     #: unmarked classes appear with an empty role
     components: dict[str, ComponentDecl] = field(default_factory=dict)
@@ -232,10 +224,6 @@ class ModuleSummary:
                 name: line
                 for name, line in sorted(self.mutable_globals.items())
             },
-            "dataclass_fields": {
-                name: list(fields)
-                for name, fields in sorted(self.dataclass_fields.items())
-            },
             "components": {
                 name: decl.to_json()
                 for name, decl in sorted(self.components.items())
@@ -261,11 +249,6 @@ class ModuleSummary:
             mutable_globals={
                 str(name): int(line)  # type: ignore[call-overload]
                 for name, line in raw["mutable_globals"].items()  # type: ignore[union-attr]
-            },
-            dataclass_fields={
-                str(name): tuple(str(f) for f in fields)
-                for name, fields in raw.get(  # type: ignore[union-attr]
-                    "dataclass_fields", {}).items()
             },
             components={
                 str(name): ComponentDecl.from_json(decl)
@@ -407,24 +390,16 @@ def _mutable_global_defs(tree: ast.Module,
 
 def summarize_module(module: ModuleInfo) -> ModuleSummary:
     """Build the project-rule summary of one parsed file."""
-    import json as _json
-
     from .astutil import annotation_is_set
     from .topo import module_components, parse_component_markers
-    from .trace import (extract_trace, has_effect_nodes,
-                        module_dataclass_fields, module_object_aliases,
-                        parse_replica_markers, replica_marker_for)
 
     aliases = import_aliases(module.tree)
     mutable_globals = _mutable_global_defs(module.tree, aliases)
     global_names = frozenset(mutable_globals)
-    objnew, objsetattr = module_object_aliases(module.tree)
-    markers = parse_replica_markers(module.source)
     component_markers = parse_component_markers(module.source)
     functions: list[FunctionSummary] = []
     for func, qualname, _is_method in iter_function_defs(module.tree):
         flow = analyze_function(func, aliases)
-        trace = extract_trace(func, objnew, objsetattr)
         facts = extract_bounded_facts(func, aliases)
         topo = extract_topo_facts(func)
         functions.append(FunctionSummary(
@@ -445,9 +420,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
             global_mutations=tuple(sorted(
                 flow.free_mutations & global_names)),
             params=flow.params,
-            trace_json=(_json.dumps(trace, separators=(",", ":"))
-                        if has_effect_nodes(trace) else ""),
-            replica_of=replica_marker_for(markers, func),
             growth=facts.growth,
             allocs=facts.allocs,
             opens=facts.opens,
@@ -470,7 +442,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
                            module.line_suppressions.items()},
         file_suppressions=tuple(sorted(module.file_suppressions)),
         mutable_globals=mutable_globals,
-        dataclass_fields=module_dataclass_fields(module.tree),
         components=module_components(module.tree, component_markers),
     )
 

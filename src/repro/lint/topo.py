@@ -212,10 +212,9 @@ def module_components(
 ) -> dict[str, ComponentDecl]:
     """Every class in the module with its bound component marker.
 
-    A marker binds on the ``class`` line or the line above it (mirroring
-    the replica-of convention).  Unmarked classes are recorded with an
-    empty role so the rules can tell "undeclared component" apart from
-    "not a class at all".
+    A marker binds on the ``class`` line or the line above it.  Unmarked
+    classes are recorded with an empty role so the rules can tell
+    "undeclared component" apart from "not a class at all".
     """
 
     def visit(node: ast.AST, prefix: str) -> Iterator[ComponentDecl]:

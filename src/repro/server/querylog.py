@@ -31,11 +31,15 @@ censuses: only the most recent ``N`` entries stay live.  Positions are
 amortized-O(1), and index buckets prune their dead prefixes lazily, so the
 full indexed query API — ``count``/``count_under``/``sources``/
 ``entries_for_any`` — answers identically to an unbounded log as long as
-every entry a query touches is still inside the window.  The census
-pipeline sizes the window above any single platform's probe horizon, which
-is all the measurement techniques ever look back across (probe names are
-unique and queries carry ``since`` cutoffs).  ``window=None`` (the
-default) never evicts and is byte-identical to the seed behaviour.
+every entry a query touches is still inside the window.  No census path
+sets a window: only a hand-built ``WorldConfig(log_window=...)`` or a test
+does, and it must size the window above any single platform's probe
+horizon, which is all the measurement techniques ever look back across
+(probe names are unique and queries carry ``since`` cutoffs).  A windowed
+CDE log also takes every probe off the engine's fused corridor
+(``_FastPlan.build`` declines it), so each probe runs the structured path.
+``window=None`` (the default) never evicts and is byte-identical to the
+seed behaviour.
 """
 
 from __future__ import annotations

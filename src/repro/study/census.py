@@ -1,4 +1,4 @@
-"""Streaming bounded-memory census driver (ROADMAP open item 2).
+"""Streaming bounded-memory census driver.
 
 The paper's census enumerates caches across hundreds of thousands of open
 resolvers; reaching that scale in the reproduction means no layer may hold

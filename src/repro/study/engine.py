@@ -1,4 +1,4 @@
-"""Pipelined single-process measurement engine (ROADMAP open item 1).
+"""Pipelined single-process measurement engine.
 
 The sequential sweep in :func:`~repro.study.measurement.measure_population`
 walks one platform at a time; :func:`~repro.study.parallel.run_shard` used
@@ -39,6 +39,16 @@ chain into an empty cache (:class:`_ColdChain`).  Every rarer shape — an
 entry or alias already at the name, an expired memo, a cache that is
 neither empty nor memoized — runs the real resolver code from exactly the
 point the real path would reach it.
+
+Equivalence is checked at runtime, not by a static proof: a fused run
+and a structured run of twin worlds must leave identical world state —
+clock, network and RNG stream state, every counter, every cache entry
+and every query-log entry and index, in order.
+``tests/test_fused_equivalence.py`` pins that over a census population
+and over crafted twin worlds that drive every line of the corridor.  The
+three import-time ``_check_*`` probes and :meth:`_FastPlan.build` stay
+the guard in a running census: any drift they can see declines the
+corridor rather than change a row.
 
 Determinism is the contract: driving a :class:`ShardLane` to completion
 produces rows byte-identical to
@@ -617,7 +627,6 @@ class _FastPlan:
                    egress_src, cold)
 
 
-# cdelint: replica-of=repro.net.network.Network._traverse
 def _leg(plan: _FastPlan, src: _LegParams, dst: _LegParams
          ) -> tuple[bool, float]:
     """``Network._traverse`` inlined for the gated link models.
@@ -661,7 +670,6 @@ def _leg(plan: _FastPlan, src: _LegParams, dst: _LegParams
     return lost, latency
 
 
-# cdelint: replica-of=repro.core.prober.DirectProber.probe
 def _fused_probe_flat(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
     """One direct probe through the fused corridor.
 
@@ -769,7 +777,6 @@ def _fused_probe_flat(plan: _FastPlan, qname: DnsName, qtype: RRType) -> bool:
     return False
 
 
-# cdelint: replica-of=repro.resolver.platform.ResolutionPlatform.resolve_for_client
 def _fused_resolve_flat(plan: _FastPlan, qname: DnsName,
                         qtype: RRType) -> None:
     """``resolve_for_client`` for a corridor probe, minus the response.
@@ -876,7 +883,6 @@ def _fused_resolve_flat(plan: _FastPlan, qname: DnsName,
         pstats.failures += 1
 
 
-# cdelint: replica-of=repro.resolver.platform.ResolutionPlatform._resolve_upstream
 def _fused_upstream(plan: _FastPlan, cache: DnsCache, cache_index: int,
                     qname: DnsName, qtype: RRType) -> bool:
     """Cold ``_resolve_upstream``: replay the captured referral chain.

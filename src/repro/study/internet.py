@@ -75,10 +75,10 @@ class WorldConfig:
     #: benches use it, to measure what the indexes buy.
     indexed_logs: bool = True
     #: Ring-buffer window (entries) for the CDE query logs; ``None`` keeps
-    #: every entry forever (seed behaviour).  Streaming censuses set a
-    #: window comfortably above one platform's probe horizon so the logs
-    #: stop growing with census size without changing any measured row
-    #: (probe names are unique and log reads carry ``since`` cutoffs).
+    #: every entry forever (seed behaviour).  No census path sets one; a
+    #: window comfortably above one platform's probe horizon changes no
+    #: measured row (probe names are unique and log reads carry ``since``
+    #: cutoffs), but it takes every probe off the fused corridor.
     log_window: Optional[int] = None
     #: Named fault profile (see :data:`repro.net.faults.FAULT_PROFILES`).
     #: ``"none"`` attaches no injector at all — every code path and RNG

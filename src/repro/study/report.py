@@ -108,10 +108,13 @@ def format_perf(perf: Optional[PerfCounters],
         rows.append(("shard busy seconds", f"{perf.busy_seconds:.3f}"))
     total_probes = perf.fused_probes + perf.fallback_probes
     if total_probes or perf.shards:
-        # Fast-path health: a healthy pipelined run serves every direct
-        # probe through the fused corridor; fallback probes mean the
-        # replicas desynchronized from the structured path (see CDE015)
-        # and the run silently degraded to object-per-message speed.
+        # Fast-path health: a pipelined run of fault-free open resolvers
+        # serves every direct probe through the fused corridor.  Fallback
+        # probes mean _FastPlan.build declined the platform — a fault
+        # injector, a retry policy, a closed resolver, frontend dedup,
+        # prefetch, an ungated link model, a windowed or unindexed CDE
+        # log, or a failed import-time check — and its probes ran the
+        # structured path at object-per-message speed (same rows).
         rows.append(("fused probes", perf.fused_probes))
         rows.append(("fallback probes", perf.fallback_probes))
         ratio = (f"{100 * perf.fused_probes / total_probes:.1f}%"
