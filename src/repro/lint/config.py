@@ -52,7 +52,7 @@ _DEFAULT_BOUNDED_ALLOW: tuple[str, ...] = (
     "repro/resolver/*=world-scoped (pools, frontend table, selector load, "
     "per-query visited/trace bounded by chain depth)",
     "repro/server/*=world-scoped (zones, RRL token buckets, hierarchy "
-    "maps, the per-world QueryLog — windowed logs additionally ring-evict)",
+    "maps, the per-world QueryLog — engine lanes retire it per platform)",
     "repro/client/*=world-scoped (browser host cache, SMTP attempt "
     "records); dropped with the world",
     "repro/net/*=world-scoped (endpoints, RNG stream memo over a fixed "

@@ -43,6 +43,10 @@ class RngFactory:
             self._streams[name] = rng
         return rng
 
+    def release(self, name: str) -> None:
+        """Drop a stream whose name will never be asked for again."""
+        self._streams.pop(name, None)
+
     def fork(self, name: str) -> "RngFactory":
         """A child factory whose root seed derives from this one."""
         return RngFactory(derive_seed(self.root_seed, f"fork:{name}"))

@@ -128,6 +128,10 @@ class TransparentForwarder:
     def attach(self, profile: Optional[LinkProfile] = None) -> None:
         self.network.register(self.listen_ip, self, profile)
 
+    def detach(self) -> None:
+        """Unregister the listen address :meth:`attach` registered."""
+        self.network.unregister(self.listen_ip)
+
     # -- Endpoint protocol ---------------------------------------------------
 
     def handle_message(self, message: DnsMessage, src_ip: str,

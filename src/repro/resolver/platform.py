@@ -155,6 +155,11 @@ class ResolutionPlatform:
         egress = [ip for ip in self.config.egress_ips if ip not in ingress]
         self.network.register_many(egress, _EgressStub(), profile)
 
+    def detach(self) -> None:
+        """Unregister exactly the addresses :meth:`attach` registered."""
+        for ip in self.config.ingress_ips + self.config.egress_ips:
+            self.network.unregister(ip)
+
     # -- ground truth (experiments only) ------------------------------------------
 
     @property

@@ -45,6 +45,10 @@ class RootHierarchy:
     def root_hints(self) -> list[str]:
         return [self.root_ip]
 
+    def servers(self) -> list[AuthoritativeServer]:
+        """The root server and every TLD server."""
+        return [self.root_server, *self._tld_servers.values()]
+
     # -- TLD management ----------------------------------------------------
 
     def ensure_tld(self, tld: str | DnsName) -> AuthoritativeServer:

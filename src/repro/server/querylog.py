@@ -25,21 +25,15 @@ the log detects it and falls back to linear ``since`` filtering.
 ``QueryLog(indexed=False)`` preserves the original full-scan behaviour;
 the scaling benches use it to measure exactly what the indexes buy.
 
-**Ring-buffer mode** (``QueryLog(window=N)``) bounds memory for streaming
-censuses: only the most recent ``N`` entries stay live.  Positions are
-*global* (they keep counting past evictions), the backing lists compact
-amortized-O(1), and index buckets prune their dead prefixes lazily, so the
-full indexed query API — ``count``/``count_under``/``sources``/
-``entries_for_any`` — answers identically to an unbounded log as long as
-every entry a query touches is still inside the window.  No census path
-sets a window: only a hand-built ``WorldConfig(log_window=...)`` or a test
-does, and it must size the window above any single platform's probe
-horizon, which is all the measurement techniques ever look back across
-(probe names are unique and queries carry ``since`` cutoffs).  A windowed
-CDE log also takes every probe off the engine's fused corridor
-(``_FastPlan.build`` declines it), so each probe runs the structured path.
-``window=None`` (the default) never evicts and is byte-identical to the
-seed behaviour.
+**Retirement** (:meth:`QueryLog.retire`) keeps a long census bounded: it
+forgets every entry recorded so far.  Positions are *global* — they keep
+counting past retired entries — so marks stay valid, and every query that
+touches only later entries answers exactly as an unretired log would.
+The engine's lanes retire the logs after each platform's row: a lane
+measures one platform at a time under never-reused probe names, so no
+later query looks back across a retirement.  Suffix buckets handed out by
+:meth:`QueryLog.hold_suffix` (the engine's inlined ``record()`` appends to
+them directly) are emptied in place, never dropped.
 """
 
 from __future__ import annotations
@@ -50,11 +44,6 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ..dns.name import DnsName
 from ..dns.rrtype import RRType
-
-#: Dead-prefix length beyond which a ring-mode index bucket is compacted.
-#: Compaction pays O(live) to drop O(dead); requiring dead >= live/2 (and a
-#: small floor) makes the cost amortized O(1) per recorded entry.
-_BUCKET_COMPACT_FLOOR = 32
 
 
 @dataclass(frozen=True)
@@ -67,27 +56,23 @@ class LogEntry:
 
 
 class QueryLog:
-    """Append-only log with counting helpers (optionally a ring buffer)."""
+    """Append-only log with counting helpers and exact retirement."""
 
-    def __init__(self, indexed: bool = True,
-                 window: Optional[int] = None) -> None:
-        if window is not None and window < 1:
-            raise ValueError("window must be a positive entry count")
+    def __init__(self, indexed: bool = True) -> None:
         self._entries: list[LogEntry] = []
         self._marks: dict[str, int] = {}
         self.indexed = indexed
-        self.window = window
         #: Entry positions per exact qname / per qname ancestor (incl. self).
-        #: Positions are global: they never shift when the ring compacts.
+        #: Positions are global: they never shift when the log retires.
         self._by_qname: dict[DnsName, list[int]] = {}
         self._by_suffix: dict[DnsName, list[int]] = {}
+        #: Suffix buckets that outlive retirement by identity.
+        self._held: dict[DnsName, list[int]] = {}
         #: Timestamps parallel to ``_entries`` (for ``since`` bisection).
         self._timestamps: list[float] = []
         self._monotonic = True
-        #: Global position of ``_entries[0]`` (>0 once the ring compacted).
+        #: Global position of ``_entries[0]`` (== entries retired so far).
         self._origin = 0
-        #: Global position of the oldest *live* entry (== evicted count).
-        self._head = 0
 
     def record(self, entry: LogEntry) -> None:
         if self.indexed:
@@ -99,49 +84,43 @@ class QueryLog:
             for ancestor in entry.qname.ancestors(include_self=True):
                 self._by_suffix.setdefault(ancestor, []).append(position)
         self._entries.append(entry)
-        if self.window is not None and len(self) > self.window:
-            self._evict_oldest()
 
-    # -- ring-buffer bookkeeping --------------------------------------------
+    # -- retirement -----------------------------------------------------------
 
     @property
     def total_recorded(self) -> int:
-        """Entries ever recorded, evicted ones included."""
+        """Entries ever recorded, retired ones included."""
         return self._origin + len(self._entries)
 
     @property
     def evicted(self) -> int:
-        """Entries dropped by the ring (always 0 without a window)."""
-        return self._head
+        """Entries forgotten by :meth:`retire`."""
+        return self._origin
 
-    def _evict_oldest(self) -> None:
-        """Advance the live head by one and groom the indexes behind it."""
-        entry = self._entries[self._head - self._origin]
-        self._head += 1
-        if self.indexed:
-            self._prune_bucket(self._by_qname, entry.qname)
-            for ancestor in entry.qname.ancestors(include_self=True):
-                self._prune_bucket(self._by_suffix, ancestor)
-        # Compact the backing lists once the dead prefix has grown to the
-        # window size — O(window) work every `window` evictions.
-        dead = self._head - self._origin
-        if dead >= (self.window or 0):
-            del self._entries[:dead]
-            if self.indexed:
-                del self._timestamps[:dead]
-            self._origin = self._head
+    def hold_suffix(self, suffix: DnsName) -> list[int]:
+        """The suffix bucket of ``suffix``, kept by identity for good.
 
-    def _prune_bucket(self, index: dict[DnsName, list[int]],
-                      key: DnsName) -> None:
-        """Drop a bucket's dead prefix when it dominates the bucket."""
-        bucket = index.get(key)
-        if bucket is None:
-            return
-        dead = bisect_left(bucket, self._head)
-        if dead == len(bucket):
-            del index[key]
-        elif dead >= _BUCKET_COMPACT_FLOOR and dead * 2 >= len(bucket):
-            del bucket[:dead]
+        For callers that append positions to the bucket themselves (the
+        engine's inlined ``record()``): :meth:`retire` empties a held
+        bucket in place instead of dropping it.
+        """
+        bucket = self._by_suffix.setdefault(suffix, [])
+        self._held[suffix] = bucket
+        return bucket
+
+    def retire(self) -> None:
+        """Forget every entry recorded so far; positions stay global.
+
+        Exact for any later query that touches no retired entry.
+        """
+        self._origin += len(self._entries)
+        self._entries.clear()
+        self._timestamps.clear()
+        self._by_qname.clear()
+        self._by_suffix.clear()
+        for suffix, bucket in self._held.items():
+            bucket.clear()
+            self._by_suffix[suffix] = bucket
 
     # -- marks: named positions for incremental reads -----------------------
 
@@ -150,38 +129,34 @@ class QueryLog:
         self._marks[label] = self._origin + len(self._entries)
 
     def since_mark(self, label: str) -> list[LogEntry]:
-        start = max(self._marks.get(label, 0), self._head) - self._origin
+        start = max(self._marks.get(label, 0) - self._origin, 0)
         return self._entries[start:]
 
     # -- index plumbing -----------------------------------------------------
 
     def _positions_since(self, positions: list[int],
                          since: Optional[float]) -> Iterable[int]:
-        """The live subset of ``positions`` at/after ``since``.
+        """The subset of ``positions`` at/after ``since``.
 
         Positions inside an index bucket are in record order, hence their
         timestamps are nondecreasing while the clock is monotonic — the
-        ``since`` cutoff is a bisection, not a scan.  In ring mode the
-        bucket may still carry a dead prefix; a second bisection skips it.
+        ``since`` cutoff is a bisection, not a scan.
         """
-        start = bisect_left(positions, self._head) if self._head else 0
         if since is None:
-            return positions[start:] if start else positions
-        if not self._monotonic:
-            origin = self._origin
-            return (p for p in positions[start:]
-                    if self._entries[p - origin].timestamp >= since)
+            return positions
         origin = self._origin
-        cut = bisect_left(positions, since, lo=start,
+        if not self._monotonic:
+            return (p for p in positions
+                    if self._entries[p - origin].timestamp >= since)
+        cut = bisect_left(positions, since,
                           key=lambda p: self._timestamps[p - origin])
         return positions[cut:]
 
     def _scan_start(self, since: Optional[float]) -> int:
-        """First live list index at/after ``since`` for whole-log walks."""
-        live = self._head - self._origin
+        """First list index at/after ``since`` for whole-log walks."""
         if since is None or not self.indexed or not self._monotonic:
-            return live
-        return max(live, bisect_left(self._timestamps, since))
+            return 0
+        return bisect_left(self._timestamps, since)
 
     def _candidates(self, qname: Optional[DnsName],
                     since: Optional[float]) -> Iterable[LogEntry]:
@@ -199,11 +174,10 @@ class QueryLog:
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._origin + len(self._entries) - self._head
+        return len(self._entries)
 
     def __iter__(self) -> Iterator[LogEntry]:
-        live = self._head - self._origin
-        return iter(self._entries[live:] if live else self._entries)
+        return iter(self._entries)
 
     def entries(self, qname: Optional[DnsName] = None,
                 qtype: Optional[RRType] = None,
@@ -334,11 +308,7 @@ class QueryLog:
         return histogram
 
     def clear(self) -> None:
-        self._entries.clear()
+        self.retire()
         self._marks.clear()
-        self._by_qname.clear()
-        self._by_suffix.clear()
-        self._timestamps.clear()
         self._monotonic = True
         self._origin = 0
-        self._head = 0

@@ -31,11 +31,11 @@ log's suffix buckets above the name are fixed.
 There is one tier and one gate.  :meth:`_FastPlan.build` returns a plan
 only when the import-time replica checks passed (:data:`_FULL_FAST`),
 every link uses a gated latency/loss model and the CDE query log is
-indexed without a window; otherwise every probe of the platform takes the
-structured path and counts as a fallback probe.  Inside the corridor, the
-shapes it replicates are the warm corridor (a per-cache memo of the
-cached base-domain NS and nameserver A entries) and the cold referral
-chain into an empty cache (:class:`_ColdChain`).  Every rarer shape — an
+indexed; otherwise every probe of the platform takes the structured path
+and counts as a fallback probe.  Inside the corridor, the shapes it
+replicates are the warm corridor (a per-cache memo of the cached
+base-domain NS and nameserver A entries) and the cold referral chain
+into an empty cache (:class:`_ColdChain`).  Every rarer shape — an
 entry or alias already at the name, an expired memo, a cache that is
 neither empty nor memoized — runs the real resolver code from exactly the
 point the real path would reach it.
@@ -50,12 +50,20 @@ three import-time ``_check_*`` probes and :meth:`_FastPlan.build` stay
 the guard in a running census: any drift they can see declines the
 corridor rather than change a row.
 
+A lane holds O(1) platforms, not O(platforms): once a platform's row is
+out, :meth:`SimulatedInternet.retire_platform` drops its addresses, RNG
+stream and resolver state and retires the root, TLD and CDE query logs.
+The corridor's held suffix buckets survive retirement by identity (see
+:meth:`QueryLog.hold_suffix`) and its inlined ``record()`` writes global
+positions, so it stays on across retirements.
+
 Determinism is the contract: driving a :class:`ShardLane` to completion
 produces rows byte-identical to
 ``measure_population(SimulatedInternet(task.config), list(task.specs),
-task.budget)``, and interleaving lanes cannot change any lane's rows.
-``tests/test_study_parallel.py`` and ``tests/test_faults_deterministic.py``
-pin this across worker counts and fault profiles.
+task.budget)`` — the unretired reference — and interleaving lanes cannot
+change any lane's rows.  ``tests/test_study_parallel.py`` and
+``tests/test_faults_deterministic.py`` pin this across worker counts and
+fault profiles.
 """
 
 from __future__ import annotations
@@ -129,7 +137,7 @@ _Template = tuple[tuple[DnsName, RRType], RRSet, int,
 #: One referral hop of the cold-resolution chain:
 #: (server, zone-name for the error message, dst link params, RRsets its
 #: referral response makes the resolver cache, the server's indexed query
-#: log, and the suffix-bucket lists of the base domain's ancestor chain in
+#: log, and the held suffix buckets of the base domain's ancestor chain in
 #: that log, for the inlined record()).
 _ColdLevel = tuple[AuthoritativeServer, DnsName, _LegParams,
                    tuple[RRSet, ...], QueryLog, list[list[int]]]
@@ -317,8 +325,8 @@ class _ColdChain:
     verbatim for any corridor name.  On any structural surprise — multiple
     roots or candidate servers, glueless delegations, truncation, a
     non-wildcard answer, a hop whose link model is not gated or whose
-    query log is unindexed or windowed — the capture declines and cold
-    resolutions stay on the real path.
+    query log is unindexed — the capture declines and cold resolutions
+    stay on the real path.
     """
 
     __slots__ = ("network", "server", "ns_ip", "base_domain", "root_key",
@@ -422,10 +430,10 @@ class _ColdChain:
                 assert isinstance(first.rdata, NsRdata)
                 self.a_key = (first.rdata.nsdname, RRType.A)
             level_log = endpoint.query_log
-            if not level_log.indexed or level_log.window is not None:
+            if not level_log.indexed:
                 return
             tails = [
-                level_log._by_suffix.setdefault(ancestor, [])
+                level_log.hold_suffix(ancestor)
                 for ancestor in self.base_domain.ancestors(include_self=True)
             ]
             levels.append((endpoint, zone_name, params, tuple(ingest),
@@ -539,10 +547,10 @@ class _FastPlan:
             self.sel_state = _stable_hash(
                 selector._salt, self.prober_ip) % self.n_caches
         # The suffix buckets above any corridor name are those of the base
-        # domain's own ancestor chain — fixed list objects, resolved once.
+        # domain's own ancestor chain — held list objects, resolved once.
         log = self.query_log
         self.suffix_tails: list[list[int]] = [
-            log._by_suffix.setdefault(ancestor, [])
+            log.hold_suffix(ancestor)
             for ancestor in base_domain.ancestors(include_self=True)
         ]
         # Seeded from the lane-shared cold chain; the corridor memo of a
@@ -594,8 +602,6 @@ class _FastPlan:
             return None
         if not server.query_log.indexed:
             return None           # inline record() maintains the indexes
-        if server.query_log.window is not None:
-            return None           # inline record() does not replicate eviction
         ns_ip = world.cde.ns_ip
         if network.endpoint_at(ns_ip) is not server:
             return None
@@ -964,7 +970,7 @@ def _fused_upstream_cold(plan: _FastPlan, cache: DnsCache, cache_index: int,
             _obj_setattr(entry, "__dict__",
                          {"timestamp": timestamp, "src_ip": egress_ip,
                           "qname": qname, "qtype": qtype, "msg_id": msg_id})
-            position = len(level_log._entries)
+            position = level_log._origin + len(level_log._entries)
             timestamps = level_log._timestamps
             if timestamps and timestamp < timestamps[-1]:
                 level_log._monotonic = False
@@ -1109,7 +1115,7 @@ def _fused_cde_transaction(plan: _FastPlan, cache: DnsCache, qname: DnsName,
         _obj_setattr(entry, "__dict__",
                      {"timestamp": timestamp, "src_ip": egress_ip,
                       "qname": qname, "qtype": qtype, "msg_id": msg_id})
-        position = len(log._entries)
+        position = log._origin + len(log._entries)
         timestamps = log._timestamps
         if timestamps and timestamp < timestamps[-1]:
             log._monotonic = False
@@ -1348,6 +1354,7 @@ class ShardLane:
             if row.technique != "direct":
                 self._indirect_queries += row.queries_used
             self.rows.append(row)
+            self.world.retire_platform(hosted)
             yield
 
     def drain_rows(self) -> list[PlatformMeasurement]:

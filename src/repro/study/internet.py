@@ -74,12 +74,6 @@ class WorldConfig:
     #: ``False`` restores the seed's full-scan log — only the scaling
     #: benches use it, to measure what the indexes buy.
     indexed_logs: bool = True
-    #: Ring-buffer window (entries) for the CDE query logs; ``None`` keeps
-    #: every entry forever (seed behaviour).  No census path sets one; a
-    #: window comfortably above one platform's probe horizon changes no
-    #: measured row (probe names are unique and log reads carry ``since``
-    #: cutoffs), but it takes every probe off the fused corridor.
-    log_window: Optional[int] = None
     #: Named fault profile (see :data:`repro.net.faults.FAULT_PROFILES`).
     #: ``"none"`` attaches no injector at all — every code path and RNG
     #: draw stays byte-identical to a fault-free world.  Carried as a
@@ -117,8 +111,7 @@ class SimulatedInternet:
         self.cde = CdeInfrastructure(self.network, self.hierarchy,
                                      base_domain=self.config.base_domain,
                                      profile=infra_profile,
-                                     indexed_logs=self.config.indexed_logs,
-                                     log_window=self.config.log_window)
+                                     indexed_logs=self.config.indexed_logs)
 
         prober_profile = LinkProfile(
             latency=wan_path(self.config.prober_latency,
@@ -314,6 +307,26 @@ class SimulatedInternet:
     def make_smtp_prober(self, domain: str, hosted: HostedPlatform,
                          policy: Optional[SmtpAuthPolicy] = None) -> SmtpProber:
         return SmtpProber(self.make_smtp_server(domain, hosted, policy))
+
+    def retire_platform(self, hosted: HostedPlatform) -> None:
+        """Drop a measured platform's world state once its row is out.
+
+        Unregisters its addresses, releases its RNG stream, forgets it in
+        :attr:`platforms` and retires every root, TLD and CDE query log.
+        Exact only for a caller that never looks back: an engine lane
+        measures one platform at a time under never-reused probe names, so
+        nothing later reads what is dropped.  ``measure_population`` keeps
+        the whole world; it is the reference the lanes must match.
+        """
+        hosted.platform.detach()
+        if hosted.forwarder is not None:
+            hosted.forwarder.detach()
+        self.rng_factory.release(f"platform/{hosted.spec.name}")
+        self.platforms.remove(hosted)
+        for server in self.hierarchy.servers():
+            server.query_log.retire()
+        for log in self.cde.all_query_logs():
+            log.retire()
 
     # -- resilience bookkeeping -------------------------------------------
 

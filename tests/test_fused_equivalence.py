@@ -10,7 +10,9 @@ path can touch (:func:`world_state`).
 
 * **Population differential** — a census population through
   :class:`~repro.study.engine.ShardLane`, once fused and once with the
-  corridor switched off.
+  corridor switched off.  A lane retires each platform's world state once
+  its row is out, so the worlds are fingerprinted at every retirement and
+  compared platform by platform.
 * **Crafted twins** — single-platform worlds shaped to reach the rare
   corridor branches, compared after every probe.
 * **Coverage** — a line tracer proves the two together run every
@@ -101,7 +103,8 @@ def world_state(world: SimulatedInternet) -> dict[str, Any]:
 
     Orders are kept wherever the real objects keep one (streams, cache
     entries, entry fields, log entries); the index buckets compare as
-    maps without their empty lists, which the corridor pre-creates.
+    maps without their empty lists, which the corridor pre-creates, and
+    are copied, since retirement empties held buckets in place.
     """
     platforms = []
     for hosted in world.platforms:
@@ -120,10 +123,10 @@ def world_state(world: SimulatedInternet) -> dict[str, Any]:
         logs.append((server.server_id,
                      [list(entry.__dict__.items()) for entry in log._entries],
                      list(log._timestamps), log._monotonic,
-                     {key: value for key, value in log._by_qname.items()
-                      if value},
-                     {key: value for key, value in log._by_suffix.items()
-                      if value}))
+                     {key: list(value)
+                      for key, value in log._by_qname.items() if value},
+                     {key: list(value)
+                      for key, value in log._by_suffix.items() if value}))
     return {
         "clock": world.clock._now,
         "network": _items(world.network.stats),
@@ -182,15 +185,26 @@ class LineTracer:
 
 def _run_lanes(specs: list, tracer: Optional[LineTracer] = None
                ) -> tuple[list[dict[str, Any]], int, int]:
-    states, fused, fallback = [], 0, 0
-    for task in plan_shards(specs, base_seed=SEED, n_shards=3,
-                            budget=BUDGET):
-        lane = ShardLane(task)
-        with tracer or nullcontext():
-            lane.run_to_completion()
-        states.append(world_state(lane.world))
-        fused += lane.fused_probes
-        fallback += lane.fallback_probes
+    """Run the lanes; fingerprint each world as a platform retires."""
+    states: list[dict[str, Any]] = []
+    retire_platform = SimulatedInternet.retire_platform
+
+    def fingerprinted(world: SimulatedInternet,
+                      hosted: HostedPlatform) -> None:
+        states.append(world_state(world))
+        retire_platform(world, hosted)
+
+    fused, fallback = 0, 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimulatedInternet, "retire_platform", fingerprinted)
+        for task in plan_shards(specs, base_seed=SEED, n_shards=3,
+                                budget=BUDGET):
+            lane = ShardLane(task)
+            with tracer or nullcontext():
+                lane.run_to_completion()
+            fused += lane.fused_probes
+            fallback += lane.fallback_probes
+    assert len(states) == len(specs)
     return states, fused, fallback
 
 
@@ -212,8 +226,8 @@ def test_population_twins_leave_identical_worlds(monkeypatch):
     structured, n_fused_off, n_fallback_off = _run_lanes(_population())
     assert n_fused_off == 0
     assert n_fallback_off == n_fused
-    for lane, (ours, theirs) in enumerate(zip(fused, structured)):
-        assert _differing(ours, theirs) == [], f"lane {lane}"
+    for index, (ours, theirs) in enumerate(zip(fused, structured)):
+        assert _differing(ours, theirs) == [], f"retirement {index}"
 
 
 # ---------------------------------------------------------------------------

@@ -248,16 +248,31 @@ class TestShardPlan:
 
     def test_run_shard_matches_sequential_measurement(self):
         """``run_shard`` is literally the sequential sweep on a shard world:
-        rebuilding the same world and calling measure_population agrees."""
+        rebuilding the same world and calling measure_population agrees.
+
+        The lane retires each platform's world state once its row is out;
+        ``measure_population`` keeps everything.  Rows must agree byte for
+        byte on the fused, the fault/retry and the indirect paths."""
         from repro.study import SimulatedInternet, measure_population
 
-        specs = _specs("open-resolvers")
-        task = plan_shards(specs, base_seed=SEED, n_shards=N_SHARDS,
-                           budget=FAST_BUDGET)[0]
-        outcome = run_shard(task)
-        world = SimulatedInternet(task.config)
-        rows = measure_population(world, list(task.specs), task.budget)
-        assert _row_key(outcome.rows) == _row_key(rows)
+        cases = [("open-resolvers", WorldConfig()),
+                 ("open-resolvers", WorldConfig(fault_profile="loss-default",
+                                                retry_profile="paper")),
+                 ("email-servers", WorldConfig())]
+        for population, config in cases:
+            specs = _specs(population)
+            task = plan_shards(specs, base_seed=SEED, n_shards=2,
+                               config=config, budget=FAST_BUDGET)[0]
+            lane = engine.ShardLane(task)       # what run_shard drives
+            outcome = lane.run_to_completion()
+            world = SimulatedInternet(task.config)
+            rows = measure_population(world, list(task.specs), task.budget)
+            assert len(rows) == 5
+            assert [measurement_to_ndjson(row) for row in outcome.rows] == \
+                [measurement_to_ndjson(row) for row in rows], (
+                    population, config.fault_profile)
+            assert lane.world.platforms == []
+            assert len(world.platforms) == 5
 
 
 class TestPerfCounters:
