@@ -1,30 +1,8 @@
-"""Memory-boundedness facts (the cdebound extraction layer).
+"""Allocation and checkpoint-write facts (the cdebound extraction layer).
 
-PR 8 rebuilt collection/export as a streaming pipeline whose memory
-ceiling is independent of census size; the only runtime guard is a
-tracemalloc gate in a slow-marked test.  This module extracts the
-*static* facts the CDE017–CDE019 rules prove that invariant with — all
-config-independent pure functions of a file's bytes, so they live in the
-content-hash-keyed summary cache and replay warm:
-
-* **Growth sites** (:class:`GrowthSite`) — container mutations that add
-  elements (``append``/``extend``/``setdefault``/``d[k] = v``/``+=`` on
-  a container display).  Each site records the receiver's *root
-  category*, which is the static proxy for "does the container outlive
-  the per-row loop":
-
-  - ``param`` — the receiver is rooted in a parameter (including
-    ``self``), so the container belongs to a caller and survives this
-    frame;
-  - ``global`` — the receiver is rooted in a free name, so it lives for
-    the process;
-  - ``local`` — rooted in a local of a *generator* that is bound outside
-    every loop while the growth happens inside one: the generator frame
-    is suspended per row, so the local accumulates across the stream.
-    Locals of plain functions are frame-scoped (they die with the call,
-    e.g. one platform's world state) and are deliberately not recorded;
-  - ``escape`` — the receiver's root is not a simple name (e.g. a call
-    result); ownership is unknown, so it is kept conservatively.
+CDE018 and CDE019 run on these facts.  They are config-independent pure
+functions of a file's bytes, so they live in the content-hash-keyed
+summary cache and replay warm:
 
 * **Allocation sites** (:class:`AllocSite`) — hoistable per-iteration
   allocations: f-strings, ``+``/``%``/``.format`` string building on
@@ -40,46 +18,23 @@ content-hash-keyed summary cache and replay warm:
   path is a ``.part`` staging name, plus a per-function fact for
   ``os.replace``/``os.rename`` calls.  Together these let CDE019 prove
   the ``.part``-then-rename atomic checkpoint pattern.
+
+Whether the streaming census stays bounded is checked at run time, not
+here: ``tests/test_stream_retention.py`` (tier-1) and
+``tests/test_census_memory.py`` (the slow check of record).
 """
+
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .astutil import resolve_call_target
 
-#: Container methods that add elements.  Conservative by name, like the
-#: call graph itself: a false ``update`` on a non-container widens the
-#: audited surface and costs one justified carve-out, never hides growth.
-GROWTH_METHODS = frozenset({
-    "append", "appendleft", "extend", "extendleft", "insert",
-    "add", "update", "setdefault", "push",
-})
-
 #: Call targets that atomically publish a staged file.
 RENAME_CALLS = frozenset({"os.replace", "os.rename", "shutil.move"})
-
-
-@dataclass(frozen=True, order=True)
-class GrowthSite:
-    """One container-growth mutation site."""
-
-    line: int
-    col: int
-    op: str         # "append", "setitem", "augadd", ...
-    receiver: str   # dotted receiver, subscripts rendered as "[]"
-    category: str   # "param" | "global" | "local" | "escape"
-
-    def to_json(self) -> list[object]:
-        return [self.line, self.col, self.op, self.receiver, self.category]
-
-    @classmethod
-    def from_json(cls, raw: list[object]) -> "GrowthSite":
-        return cls(line=int(raw[0]), col=int(raw[1]),  # type: ignore[arg-type]
-                   op=str(raw[2]), receiver=str(raw[3]),
-                   category=str(raw[4]))
 
 
 @dataclass(frozen=True, order=True)
@@ -123,72 +78,9 @@ class OpenSite:
 class BoundedFacts:
     """The cdebound slice of one function's summary."""
 
-    growth: tuple[GrowthSite, ...]
     allocs: tuple[AllocSite, ...]
     opens: tuple[OpenSite, ...]
-    is_generator: bool
     renames: bool
-
-
-# ---------------------------------------------------------------------------
-# receiver anatomy
-# ---------------------------------------------------------------------------
-
-def _receiver(expr: ast.expr) -> tuple[Optional[str], str]:
-    """``(root_name, dotted)`` of a receiver chain; root ``None`` when
-    the chain is not anchored at a simple name (call result, literal)."""
-    parts: list[str] = []
-    node = expr
-    while True:
-        if isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            parts.append("[]")
-            node = node.value
-        elif isinstance(node, ast.Name):
-            parts.append(node.id)
-            return node.id, _join_receiver(parts)
-        else:
-            parts.append("<expr>")
-            return None, _join_receiver(parts)
-
-
-def _join_receiver(parts: list[str]) -> str:
-    rendered = ""
-    for part in reversed(parts):
-        if part == "[]":
-            rendered += "[]"
-        elif rendered:
-            rendered += "." + part
-        else:
-            rendered = part
-    return rendered
-
-
-def _param_names(func: ast.AST) -> frozenset[str]:
-    args = getattr(func, "args", None)
-    if args is None:
-        return frozenset()
-    names = [a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs)]
-    if args.vararg is not None:
-        names.append(args.vararg.arg)
-    if args.kwarg is not None:
-        names.append(args.kwarg.arg)
-    return frozenset(names)
-
-
-_CONTAINER_VALUES = (ast.List, ast.Set, ast.Dict,
-                     ast.ListComp, ast.SetComp, ast.DictComp,
-                     ast.GeneratorExp)
-
-
-def _is_container_value(value: ast.expr) -> bool:
-    if isinstance(value, _CONTAINER_VALUES):
-        return True
-    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-        return value.func.id in {"list", "sorted", "set", "dict", "tuple"}
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -196,148 +88,65 @@ def _is_container_value(value: ast.expr) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Walker:
-    """Own-body walk tracking loop depth and cold (raise/assert) scope."""
+    """Own-body walk tracking cold (raise/assert) scope."""
 
     def __init__(self, func: ast.AST, aliases: dict[str, str]):
         self.aliases = aliases
-        self.params = _param_names(func)
-        self.growth_raw: list[tuple[GrowthSite, int]] = []  # (site, depth)
         self.allocs: list[AllocSite] = []
         self.opens: list[OpenSite] = []
-        self.is_generator = False
         self.renames = False
-        #: local name -> (ever bound at loop depth 0, list of binding values)
-        self.top_bindings: set[str] = set()
-        self.loop_bindings: set[str] = set()
+        #: first value bound to each local name (for ``.part`` chasing)
         self.assigns: dict[str, ast.expr] = {}
         for stmt in ast.iter_child_nodes(func):
-            self._visit(stmt, depth=0, cold=False)
+            self._visit(stmt, cold=False)
 
     # -- dispatch -----------------------------------------------------------
 
-    def _visit(self, node: ast.AST, depth: int, cold: bool) -> None:
+    def _visit(self, node: ast.AST, cold: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return      # nested defs are their own call-graph nodes
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            self.is_generator = True
         if isinstance(node, (ast.Raise, ast.Assert)):
             cold = True
+        children: Iterable[ast.AST]
         if isinstance(node, (ast.For, ast.AsyncFor)):
-            self._bind_target(node.target, depth + 1)
-            self._visit(node.iter, depth, cold)
-            for stmt in node.body + node.orelse:
-                self._visit(stmt, depth + 1, cold)
-            return
-        if isinstance(node, ast.While):
-            self._visit(node.test, depth + 1, cold)
-            for stmt in node.body + node.orelse:
-                self._visit(stmt, depth + 1, cold)
-            return
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                self._handle_assign_target(target, node.value, depth)
-            self._visit(node.value, depth, cold)
-            return
-        if isinstance(node, ast.AnnAssign):
-            if node.value is not None:
-                self._handle_assign_target(node.target, node.value, depth)
-                self._visit(node.value, depth, cold)
-            return
-        if isinstance(node, ast.AugAssign):
-            self._handle_augassign(node, depth)
-            self._visit(node.value, depth, cold)
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None:
-                    self._bind_target(item.optional_vars, depth)
-        if isinstance(node, ast.NamedExpr):
-            self._bind_target(node.target, depth)
-        if isinstance(node, ast.Call):
-            self._handle_call(node, depth, cold)
+            children = [node.iter, *node.body, *node.orelse]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            # assignment targets are stores: only the value can allocate
+            if node.value is None:
+                return
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        self.assigns.setdefault(target.id, node.value)
+            elif (isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)):
+                self.assigns.setdefault(node.target.id, node.value)
+            children = [node.value]
         elif isinstance(node, ast.JoinedStr):
             if not cold:
                 self.allocs.append(AllocSite(
                     line=node.lineno, col=node.col_offset,
                     kind="f-string", detail="f-string built per iteration"))
             # constants inside need no walk; formatted values do
-            for value in node.values:
-                if isinstance(value, ast.FormattedValue):
-                    self._visit(value.value, depth, cold)
-            return
-        elif isinstance(node, ast.BinOp):
-            self._handle_binop(node, cold)
-        elif isinstance(node, (ast.List, ast.Set, ast.Dict)):
-            self._handle_display(node, cold)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            # the comprehension's implicit loop
-            for child in ast.iter_child_nodes(node):
-                self._visit(child, depth + 1, cold)
-            return
-        for child in ast.iter_child_nodes(node):
-            self._visit(child, depth, cold)
-
-    # -- bindings -----------------------------------------------------------
-
-    def _bind_target(self, target: ast.expr, depth: int) -> None:
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                (self.top_bindings if depth == 0
-                 else self.loop_bindings).add(node.id)
-
-    def _handle_assign_target(self, target: ast.expr, value: ast.expr,
-                              depth: int) -> None:
-        if isinstance(target, ast.Name):
-            (self.top_bindings if depth == 0
-             else self.loop_bindings).add(target.id)
-            self.assigns.setdefault(target.id, value)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            self._bind_target(target, depth)
-        elif isinstance(target, ast.Subscript):
-            self._record_growth(target.value, "setitem",
-                                target.lineno, target.col_offset, depth)
-
-    def _handle_augassign(self, node: ast.AugAssign, depth: int) -> None:
-        if isinstance(node.target, ast.Subscript):
-            # d[k] += 1: new keys may materialise (Counter idiom); a
-            # fixed-slot list cursor looks identical and takes a carve-out.
-            self._record_growth(node.target.value, "setitem",
-                                node.lineno, node.col_offset, depth)
-        elif (isinstance(node.op, ast.Add)
-              and isinstance(node.target, (ast.Name, ast.Attribute))
-              and _is_container_value(node.value)):
-            self._record_growth(node.target, "augadd",
-                                node.lineno, node.col_offset, depth)
-
-    # -- growth -------------------------------------------------------------
-
-    def _record_growth(self, receiver: ast.expr, op: str,
-                       line: int, col: int, depth: int) -> None:
-        root, dotted = _receiver(receiver)
-        if root is None:
-            category = "escape"
-        elif root in self.params:
-            category = "param"
-        elif (root in self.top_bindings or root in self.loop_bindings
-              or root in self.assigns):
-            category = "local"
+            children = [value.value for value in node.values
+                        if isinstance(value, ast.FormattedValue)]
         else:
-            category = "global"
-        self.growth_raw.append((GrowthSite(
-            line=line, col=col, op=op, receiver=dotted,
-            category=category), depth))
+            if isinstance(node, ast.Call):
+                self._handle_call(node, cold)
+            elif isinstance(node, ast.BinOp):
+                self._handle_binop(node, cold)
+            elif isinstance(node, (ast.List, ast.Set, ast.Dict)):
+                self._handle_display(node, cold)
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            self._visit(child, cold)
 
     # -- calls / allocations ------------------------------------------------
 
-    def _handle_call(self, node: ast.Call, depth: int, cold: bool) -> None:
+    def _handle_call(self, node: ast.Call, cold: bool) -> None:
         dotted = resolve_call_target(node.func, self.aliases)
         if dotted in RENAME_CALLS:
             self.renames = True
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in GROWTH_METHODS):
-            self._record_growth(node.func.value, node.func.attr,
-                                node.lineno, node.col_offset, depth)
         if (isinstance(node.func, ast.Attribute)
                 and node.func.attr == "format"
                 and isinstance(node.func.value, ast.Constant)
@@ -451,23 +260,9 @@ class _Walker:
     # -- result -------------------------------------------------------------
 
     def facts(self) -> BoundedFacts:
-        growth: list[GrowthSite] = []
-        for site, depth in self.growth_raw:
-            if site.category == "local":
-                # A plain function's locals die with the frame (one
-                # platform's world state); only a generator's frame is
-                # suspended across the row stream.  The accumulator must
-                # be bound outside the loop that grows it.
-                root = site.receiver.split(".")[0].split("[")[0]
-                if not (self.is_generator and depth >= 1
-                        and root in self.top_bindings):
-                    continue
-            growth.append(site)
         return BoundedFacts(
-            growth=tuple(sorted(set(growth))),
             allocs=tuple(sorted(set(self.allocs))),
             opens=tuple(sorted(set(self.opens))),
-            is_generator=self.is_generator,
             renames=self.renames,
         )
 

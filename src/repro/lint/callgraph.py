@@ -26,13 +26,11 @@ from typing import Iterable, Optional
 
 from .astutil import (dotted_name, import_aliases, iter_function_defs,
                       resolve_call_target)
-from .bounded import AllocSite, GrowthSite, OpenSite, extract_bounded_facts
+from .bounded import AllocSite, OpenSite, extract_bounded_facts
 from .dataflow import (FlowEdge, HandlerSummary, TaintSite, analyze_function)
 from .effects import EffectSite, extract_effect_sites
 from .module import ModuleInfo
 from .taint import MUTABLE_CONSTRUCTORS, matches_any
-from .topo import AddrSite, CacheSite, ComponentDecl, TtlSite, \
-    extract_topo_facts
 
 #: Bump when the summary layout changes (invalidates cached summaries).
 #: Version 2 added the dataflow layer: per-function flow edges, taint
@@ -42,11 +40,13 @@ from .topo import AddrSite, CacheSite, ComponentDecl, TtlSite, \
 #: replica-of bindings, per-module dataclass field orders); version 6
 #: removed it with the retired CDE015/CDE016.
 #: Version 4 added the cdebound layer: container-growth sites, hot-loop
-#: allocation sites, write-open sites, and the generator/rename flags.
-#: Version 5 added the cdetopo layer: address-provenance sites, cache
-#: ownership/passing sites, TTL-arithmetic sites, and per-module
-#: component declarations.
-SUMMARY_VERSION = 6
+#: allocation sites, write-open sites, and the generator/rename flags;
+#: version 7 removed the growth sites and generator flag with the retired
+#: CDE017.
+#: Version 5 added the cdetopo layer (address-provenance, cache-ownership
+#: and TTL-arithmetic sites, per-module component declarations); version
+#: 7 removed it with the retired CDE020-CDE022.
+SUMMARY_VERSION = 7
 
 #: Pseudo-function key for statements at module / class-body level.
 MODULE_SCOPE = "<module>"
@@ -110,15 +110,9 @@ class FunctionSummary:
     global_mutations: tuple[str, ...] = ()     # ... and mutated
     params: tuple[str, ...] = ()               # parameter names ("*" marker)
     # -- cdebound layer (summary version 4) ---------------------------------
-    growth: tuple[GrowthSite, ...] = ()   # container-growth sites (CDE017)
     allocs: tuple[AllocSite, ...] = ()    # hot-loop allocation sites (CDE018)
     opens: tuple[OpenSite, ...] = ()      # write-mode open() sites (CDE019)
-    is_generator: bool = False            # frame suspends across the stream
     renames: bool = False                 # calls os.replace/os.rename
-    # -- cdetopo layer (summary version 5) ----------------------------------
-    addr: tuple[AddrSite, ...] = ()       # address-provenance sites (CDE020)
-    caches: tuple[CacheSite, ...] = ()    # cache own/pass sites (CDE021)
-    ttls: tuple[TtlSite, ...] = ()        # TTL-arithmetic sites (CDE022)
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -134,14 +128,9 @@ class FunctionSummary:
             "global_reads": list(self.global_reads),
             "global_mutations": list(self.global_mutations),
             "params": list(self.params),
-            "growth": [site.to_json() for site in self.growth],
             "allocs": [site.to_json() for site in self.allocs],
             "opens": [site.to_json() for site in self.opens],
-            "gen": self.is_generator,
             "renames": self.renames,
-            "addr": [site.to_json() for site in self.addr],
-            "caches": [site.to_json() for site in self.caches],
-            "ttls": [site.to_json() for site in self.ttls],
         }
 
     @classmethod
@@ -167,20 +156,11 @@ class FunctionSummary:
             global_mutations=tuple(
                 str(n) for n in raw["global_mutations"]),  # type: ignore[union-attr]
             params=tuple(str(p) for p in raw["params"]),  # type: ignore[union-attr]
-            growth=tuple(GrowthSite.from_json(s)
-                         for s in raw.get("growth", ())),  # type: ignore[union-attr]
             allocs=tuple(AllocSite.from_json(s)
                          for s in raw.get("allocs", ())),  # type: ignore[union-attr]
             opens=tuple(OpenSite.from_json(s)
                         for s in raw.get("opens", ())),  # type: ignore[union-attr]
-            is_generator=bool(raw.get("gen", False)),
             renames=bool(raw.get("renames", False)),
-            addr=tuple(AddrSite.from_json(s)
-                       for s in raw.get("addr", ())),  # type: ignore[union-attr]
-            caches=tuple(CacheSite.from_json(s)
-                         for s in raw.get("caches", ())),  # type: ignore[union-attr]
-            ttls=tuple(TtlSite.from_json(s)
-                       for s in raw.get("ttls", ())),  # type: ignore[union-attr]
         )
 
 
@@ -196,9 +176,6 @@ class ModuleSummary:
     file_suppressions: tuple[str, ...] = ()
     #: module-level names bound to mutable containers (name -> def line)
     mutable_globals: dict[str, int] = field(default_factory=dict)
-    #: every class with its component declaration (cdetopo / CDE020-022);
-    #: unmarked classes appear with an empty role
-    components: dict[str, ComponentDecl] = field(default_factory=dict)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         from .module import SUPPRESS_ALL
@@ -224,10 +201,6 @@ class ModuleSummary:
                 name: line
                 for name, line in sorted(self.mutable_globals.items())
             },
-            "components": {
-                name: decl.to_json()
-                for name, decl in sorted(self.components.items())
-            },
         }
 
     @classmethod
@@ -249,11 +222,6 @@ class ModuleSummary:
             mutable_globals={
                 str(name): int(line)  # type: ignore[call-overload]
                 for name, line in raw["mutable_globals"].items()  # type: ignore[union-attr]
-            },
-            components={
-                str(name): ComponentDecl.from_json(decl)
-                for name, decl in raw.get(  # type: ignore[union-attr]
-                    "components", {}).items()
             },
         )
 
@@ -391,17 +359,14 @@ def _mutable_global_defs(tree: ast.Module,
 def summarize_module(module: ModuleInfo) -> ModuleSummary:
     """Build the project-rule summary of one parsed file."""
     from .astutil import annotation_is_set
-    from .topo import module_components, parse_component_markers
 
     aliases = import_aliases(module.tree)
     mutable_globals = _mutable_global_defs(module.tree, aliases)
     global_names = frozenset(mutable_globals)
-    component_markers = parse_component_markers(module.source)
     functions: list[FunctionSummary] = []
     for func, qualname, _is_method in iter_function_defs(module.tree):
         flow = analyze_function(func, aliases)
         facts = extract_bounded_facts(func, aliases)
-        topo = extract_topo_facts(func)
         functions.append(FunctionSummary(
             qualname=qualname,
             name=func.name,
@@ -420,14 +385,9 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
             global_mutations=tuple(sorted(
                 flow.free_mutations & global_names)),
             params=flow.params,
-            growth=facts.growth,
             allocs=facts.allocs,
             opens=facts.opens,
-            is_generator=facts.is_generator,
             renames=facts.renames,
-            addr=topo.addr,
-            caches=topo.caches,
-            ttls=topo.ttls,
         ))
     functions.sort(key=lambda f: (f.line, f.col, f.qualname))
     return ModuleSummary(
@@ -442,7 +402,6 @@ def summarize_module(module: ModuleInfo) -> ModuleSummary:
                            module.line_suppressions.items()},
         file_suppressions=tuple(sorted(module.file_suppressions)),
         mutable_globals=mutable_globals,
-        components=module_components(module.tree, component_markers),
     )
 
 

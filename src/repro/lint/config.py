@@ -34,73 +34,6 @@ def path_matches_any(path: str, patterns: tuple[str, ...]) -> bool:
     return any(path_matches(path, pattern) for pattern in patterns)
 
 
-#: The CDE017 carve-out table for this tree (``pattern=justification``;
-#: see :attr:`LintConfig.bounded_allow`).  Defined up front so the
-#: defaults stay usable under ``--no-config`` — the mutation tests lint
-#: pristine copies of ``src/repro`` that must come up clean.  The seven
-#: world packages get one structural carve-out each: their state lives
-#: inside one platform's :class:`SimulatedInternet`, which is built,
-#: measured and dropped per spec, so nothing there can grow with the
-#: census.  Everything on the census-lifetime path (study/, export) is
-#: itemised per receiver with its explicit bound.
-_DEFAULT_BOUNDED_ALLOW: tuple[str, ...] = (
-    # -- world-scoped packages: lifetime is one platform's world ------------
-    "repro/dns/*=world-scoped (messages, zones, per-name intern/encode "
-    "memos keyed by their inputs); dropped with the world after its row",
-    "repro/cache/*=world-scoped; TTL+capacity eviction bounds every "
-    "per-world cache",
-    "repro/resolver/*=world-scoped (pools, frontend table, selector load, "
-    "per-query visited/trace bounded by chain depth)",
-    "repro/server/*=world-scoped (zones, RRL token buckets, hierarchy "
-    "maps, the per-world QueryLog — engine lanes retire it per platform)",
-    "repro/client/*=world-scoped (browser host cache, SMTP attempt "
-    "records); dropped with the world",
-    "repro/net/*=world-scoped (endpoints, RNG stream memo over a fixed "
-    "label set, RRL window pruned per decision, per-shard perf counters)",
-    "repro/core/*=world-scoped (monitor history, prober URL list, "
-    "hierarchy registry); dropped with the world",
-    # -- the linter itself --------------------------------------------------
-    "repro/lint/*=never on a measurement path; reachable only through "
-    "simple-name call binding (same precedent as shard-state-allow)",
-    # -- census-lifetime accumulators, itemised -----------------------------
-    "repro/study/accuracy.py::AccuracyReport.add_row::*=fixed label-set "
-    "accuracy cells (technique x selector class), integer counters only",
-    "repro/study/census.py::CensusAggregates.add_row::*=online aggregate "
-    "fold: integer cells over fixed or value-bounded key sets",
-    "repro/study/census.py::_fold_and_write::keep=in-memory mode only: "
-    "keep is None on every streaming path",
-    "repro/study/engine.py::PipelinedEngine.stream::active=lane "
-    "scheduling list, bounded by the lane count",
-    "repro/study/engine.py::PipelinedEngine.stream::delivered=fixed-size "
-    "per-lane delivery cursor",
-    "repro/study/engine.py::PipelinedEngine.stream::buffers[]=per-lane "
-    "reorder buffers drained in delivery order, bounded by "
-    "STREAM_BUFFER_ROWS per lane",
-    "repro/study/engine.py::ShardLane._lane_turns::self.rows=drained by "
-    "drain_rows every pipeline turn, bounded by rows per turn",
-    "repro/study/engine.py::_FastPlan.build::cold_chains=per-platform "
-    "plan construction, lifetime one platform",
-    "repro/study/engine.py::_fused_upstream_cold::plan.corridor=fixed-size "
-    "per-cache memo list (len == n_caches), assigned by index, never grows",
-    "repro/study/export.py::CensusWriter.write_dict::self._buffer="
-    "flushed every chunk_size rows, bounded by chunk_size",
-    "repro/study/export.py::CensusWriter._flush_chunk::self.chunks="
-    "manifest chunk index: one entry per chunk_size rows, the resume "
-    "contract itself",
-    "repro/study/internet.py::SimulatedInternet.add_platform_from_spec::"
-    "self.platforms=world-scoped platform registry; streaming shards host "
-    "one spec per world",
-    "repro/study/parallel.py::_merge_spilled::taken=fixed-size per-shard "
-    "merge cursor (len == n_shards)",
-    "repro/study/stats.py::*=fixed-size accumulators: integer counters "
-    "over value-bounded keys (CDF points, bubble grid, fault kinds)",
-    "repro/study/trends.py::TrendStudy.run::self.rounds=name-binding "
-    "artifact via the generic '.run' callee; the trend study is a "
-    "top-level driver (per-round summaries, bounded by round count), "
-    "never on the streaming path",
-)
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Scopes and allow-lists for the rule set (see docs/STATIC_ANALYSIS.md)."""
@@ -202,22 +135,6 @@ class LintConfig:
     #: Exception types carrying AttemptRecord history (CDE013): catching
     #: one without using or re-raising it discards the history.
     probe_history_types: tuple[str, ...] = ("ProbeFailure",)
-    #: cdebound (CDE017) streaming entry points (``path::qualname``): no
-    #: container reachable from these may accumulate per-row state.
-    stream_entries: tuple[str, ...] = (
-        "repro/study/parallel.py::stream_parallel_measurement",
-        "repro/study/parallel.py::_run_shard_spill",
-        "repro/study/parallel.py::_merge_spilled",
-        "repro/study/engine.py::PipelinedEngine.stream",
-        "repro/study/census.py::run_census",
-        "repro/study/export.py::CensusWriter.write_row",
-        "repro/study/export.py::CensusWriter.write_dict",
-    )
-    #: cdebound (CDE017) carve-outs: ``pattern=justification`` where the
-    #: fnmatch pattern is matched against ``<rel>::<qualname>::<receiver>``
-    #: (floating: a leading ``*`` is implied).  Every entry must state the
-    #: bound that keeps the growth finite — see docs/STATIC_ANALYSIS.md.
-    bounded_allow: tuple[str, ...] = _DEFAULT_BOUNDED_ALLOW
     #: cdebound (CDE018) hot paths (``path::qualname``): the per-probe
     #: fused corridor and lane batch loops, where a hoistable allocation
     #: is a per-probe cost the fast path exists to avoid.
@@ -239,20 +156,6 @@ class LintConfig:
         "repro/study/export.py::CensusWriter.write_dict",
         "repro/study/export.py::CensusWriter.close",
     )
-    #: cdetopo (CDE020/CDE021) component scope: the resolver/server/cache
-    #: plane where every class must declare what it does to the
-    #: addresses and caches the CDE counting depends on.
-    component_paths: tuple[str, ...] = (
-        "repro/resolver/", "repro/server/", "repro/cache/",
-    )
-    #: cdetopo declarations for classes that cannot carry an in-source
-    #: ``# cdelint: component=`` marker (``ClassName=role(attrs)``); an
-    #: in-source marker always wins.
-    components: tuple[str, ...] = ()
-    #: cdetopo (CDE022) TTL-soundness scope: where stored TTLs must only
-    #: ever count down (honest caches never extend a TTL; the deliberate
-    #: misbehaviour model carries a justified suppression).
-    ttl_paths: tuple[str, ...] = ("repro/cache/", "repro/resolver/")
     #: Rule IDs disabled globally.
     disable: tuple[str, ...] = ()
 

@@ -29,7 +29,6 @@ from ..net.network import LinkProfile, Network
 from ..net.rng import fallback_rng
 
 
-# cdelint: component=forwarder(rewrites-source, owns-cache)
 class ForwardingResolver:
     """Relays client queries to an upstream recursive platform."""
 
@@ -98,51 +97,3 @@ class ForwardingResolver:
                 self.cache.put_rrset(rrset, now)
         elif response.rcode == RCode.NOERROR:
             self.cache.put_nodata(qname, qtype, now)
-
-
-# cdelint: component=transparent-forwarder(spoofs-source)
-class TransparentForwarder:
-    """A relay that forwards queries upstream *as the client*.
-
-    "Transparent Forwarders: An Unnoticed Component of the Open DNS
-    Infrastructure" measures ~26% of open DNS speakers as exactly this:
-    a box that neither caches nor answers, but re-emits the query toward
-    a real resolver with the *client's* source address preserved, so the
-    resolver's response (and its access-control decision) applies to the
-    client, not to the forwarder.  From the CDE's perspective the
-    forwarder is invisible — the platform sees the original client, and
-    a closed resolver that serves the client's prefix will happily
-    answer a query the forwarder itself could never make.
-
-    No cache, no TTL logic, no rewriting: one spoof-preserving send.
-    """
-
-    def __init__(self, name: str, listen_ip: str, upstream_ip: str,
-                 network: Network):
-        self.name = name
-        self.listen_ip = listen_ip
-        self.upstream_ip = upstream_ip
-        self.network = network
-        self.forwarded = 0
-
-    def attach(self, profile: Optional[LinkProfile] = None) -> None:
-        self.network.register(self.listen_ip, self, profile)
-
-    def detach(self) -> None:
-        """Unregister the listen address :meth:`attach` registered."""
-        self.network.unregister(self.listen_ip)
-
-    # -- Endpoint protocol ---------------------------------------------------
-
-    def handle_message(self, message: DnsMessage, src_ip: str,
-                       network: Network) -> Optional[DnsMessage]:
-        if message.is_response or message.question is None:
-            return None
-        self.forwarded += 1
-        try:
-            # The client's own source address goes upstream unchanged —
-            # the spoof-preserve this component's contract declares.
-            transaction = network.query(src_ip, self.upstream_ip, message)
-        except QueryTimeout:
-            return message.make_response(RCode.SERVFAIL)
-        return transaction.response

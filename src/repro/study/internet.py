@@ -31,7 +31,6 @@ from ..net.latency import wan_path
 from ..net.loss import NoLoss, country_loss
 from ..net.network import LinkProfile, Network, SinkEndpoint
 from ..net.rng import RngFactory
-from ..resolver.forwarder import TransparentForwarder
 from ..resolver.platform import PlatformConfig, ResolutionPlatform
 from ..resolver.selection import make_selector
 from ..resolver.stub import StubResolver
@@ -49,9 +48,6 @@ class HostedPlatform:
 
     spec: PlatformSpec
     platform: ResolutionPlatform
-    #: Present when the spec asked for a transparent-forwarder front; the
-    #: forwarder's listen address is the identity a scanner would see.
-    forwarder: Optional[TransparentForwarder] = None
 
 
 @dataclass
@@ -164,9 +160,8 @@ class SimulatedInternet:
                                min_ttl: Optional[int] = None,
                                max_ttl: Optional[int] = None
                                ) -> HostedPlatform:
-        wants_forwarder = getattr(spec, "transparent_forwarder", False)
         pool = self.platform_allocator.allocate_pool(
-            spec.n_ingress + spec.n_egress + (1 if wants_forwarder else 0))
+            spec.n_ingress + spec.n_egress)
         ingress_ips = pool.allocate_block(spec.n_ingress)
         egress_ips = pool.allocate_block(spec.n_egress)
         platform_rng = self.rng_factory.stream(f"platform/{spec.name}")
@@ -193,24 +188,7 @@ class SimulatedInternet:
                              self.config.jitter_sigma),
             loss=loss,
         ))
-        forwarder = None
-        if wants_forwarder:
-            # The forwarder gets its own address in front of the platform's
-            # first ingress; queries it relays keep the client's source, so
-            # the platform (and its logs) never see the forwarder itself.
-            forwarder = TransparentForwarder(
-                name=f"tfwd/{spec.name}",
-                listen_ip=pool.allocate(),
-                upstream_ip=ingress_ips[0],
-                network=self.network,
-            )
-            forwarder.attach(LinkProfile(
-                latency=wan_path(self.config.platform_latency,
-                                 self.config.jitter_sigma),
-                loss=loss,
-            ))
-        hosted = HostedPlatform(spec=spec, platform=platform,
-                                forwarder=forwarder)
+        hosted = HostedPlatform(spec=spec, platform=platform)
         self.platforms.append(hosted)
         return hosted
 
@@ -319,8 +297,6 @@ class SimulatedInternet:
         the whole world; it is the reference the lanes must match.
         """
         hosted.platform.detach()
-        if hosted.forwarder is not None:
-            hosted.forwarder.detach()
         self.rng_factory.release(f"platform/{hosted.spec.name}")
         self.platforms.remove(hosted)
         for server in self.hierarchy.servers():

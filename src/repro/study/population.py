@@ -56,12 +56,6 @@ class PlatformSpec:
     n_caches: int
     n_egress: int
     selector_name: str
-    #: When set, the platform is fronted by a :class:`TransparentForwarder`
-    #: that relays client queries upstream with the client's own source
-    #: address preserved (the ~26% "transparent forwarder" share of the
-    #: open DNS speaker population).  Appended with a default so existing
-    #: seeds and pickled specs stay byte-identical.
-    transparent_forwarder: bool = False
 
     @property
     def name(self) -> str:
@@ -147,14 +141,10 @@ class PopulationGenerator:
     def __init__(self, population: str, seed: int = 0,
                  max_caches: Optional[int] = None,
                  max_ingress: Optional[int] = None,
-                 max_egress: Optional[int] = None,
-                 forwarder_share: float = 0.0):
+                 max_egress: Optional[int] = None):
         if population not in POPULATIONS:
             raise ValueError(f"unknown population {population!r}; "
                              f"expected one of {POPULATIONS}")
-        if not 0.0 <= forwarder_share <= 1.0:
-            raise ValueError(f"forwarder_share must lie in [0, 1], "
-                             f"got {forwarder_share!r}")
         self.population = population
         self.rng = random.Random(seed)
         self._categories = _CATEGORY_TABLES[population]
@@ -163,10 +153,6 @@ class PopulationGenerator:
         self.max_caches = max_caches
         self.max_ingress = max_ingress
         self.max_egress = max_egress
-        # Fraction of drawn platforms fronted by a transparent forwarder.
-        # The default 0.0 consumes no RNG draws, so existing seeds keep
-        # producing byte-identical spec sequences.
-        self.forwarder_share = forwarder_share
         self._index = 0
 
     def draw(self) -> PlatformSpec:
@@ -184,9 +170,6 @@ class PopulationGenerator:
             n_caches = min(n_caches, self.max_caches)
         if self.max_egress is not None:
             n_egress = min(n_egress, self.max_egress)
-        transparent_forwarder = False
-        if self.forwarder_share > 0.0:
-            transparent_forwarder = rng.random() < self.forwarder_share
         return PlatformSpec(
             population=self.population,
             index=self._index,
@@ -196,7 +179,6 @@ class PopulationGenerator:
             n_caches=n_caches,
             n_egress=n_egress,
             selector_name=draw_selector_name(rng),
-            transparent_forwarder=transparent_forwarder,
         )
 
     def draw_many(self, count: int) -> list[PlatformSpec]:

@@ -11,8 +11,9 @@ rule engine:
 * cache semantics — taint findings must be byte-identical at any cache
   temperature, and an edit to a *callee* must flip a *caller's*
   project-rule finding even when the caller's per-module cache is warm;
-* the satellite modes: the CDE014 unused-suppression audit and the
-  ``--changed`` dirty-subgraph report filter.
+* the satellite modes: the CDE014 unused-suppression audit, the
+  ``--changed`` dirty-subgraph report filter and ``--explain``'s
+  resolution of bare numbers and rule-name slugs.
 
 Fixture corpus: ``tests/fixtures/lint/flow/`` (positive source→sink,
 sanitized negative, cross-function, cycle); the per-rule bad/good pairs
@@ -383,3 +384,25 @@ def test_changed_flag_reports_scope_note():
     result = run_cli("--changed", "src")
     assert result.returncode in (0, 1)
     assert "cdelint" in result.stdout
+
+
+class TestExplainResolution:
+    def test_bare_number_resolves(self):
+        result = run_cli("--explain", "19")
+        assert result.returncode == 0
+        assert result.stdout.startswith("CDE019  checkpoint-durability")
+
+    def test_rule_name_slug_resolves(self):
+        result = run_cli("--explain", "hot-loop-allocation")
+        assert result.returncode == 0
+        assert result.stdout.startswith("CDE018")
+
+    def test_underscored_slug_resolves(self):
+        result = run_cli("--explain", "rng_stream_hygiene")
+        assert result.returncode == 0
+        assert result.stdout.startswith("CDE009")
+
+    def test_unknown_token_is_a_usage_error(self):
+        result = run_cli("--explain", "no-such-rule")
+        assert result.returncode == 2
+        assert "unknown rule id" in result.stderr

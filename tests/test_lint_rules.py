@@ -32,8 +32,7 @@ FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
 #: The default-enabled rule set (what a plain run reports as rules_run).
 ALL_RULES = ("CDE001", "CDE002", "CDE003", "CDE004", "CDE005", "CDE006",
              "CDE007", "CDE008", "CDE009", "CDE010", "CDE011", "CDE012",
-             "CDE013", "CDE017", "CDE018", "CDE019", "CDE020", "CDE021",
-             "CDE022")
+             "CDE013", "CDE018", "CDE019")
 #: Everything registered, including the opt-in CDE014 audit.
 REGISTERED_RULES = ALL_RULES + ("CDE014",)
 
@@ -54,20 +53,15 @@ RULE_FIXTURES = [
     ("CDE011", "flow/cde011_bad", "flow/cde011_good"),
     ("CDE012", "flow/cde012_bad", "flow/cde012_good"),
     ("CDE013", "flow/cde013_bad", "flow/cde013_good"),
-    ("CDE017", "bounded/cde017_bad", "bounded/cde017_good"),
     ("CDE018", "bounded/cde018_bad", "bounded/cde018_good"),
     ("CDE019", "bounded/cde019_bad", "bounded/cde019_good"),
-    ("CDE020", "topo/cde020_bad", "topo/cde020_good"),
-    ("CDE021", "topo/cde021_bad", "topo/cde021_good"),
-    ("CDE022", "topo/cde022_bad", "topo/cde022_good"),
 ]
 
 #: Findings each bad fixture must produce (a floor, not an exact count).
 EXPECTED_MIN_FINDINGS = {
     "CDE001": 4, "CDE002": 4, "CDE003": 5, "CDE004": 2, "CDE005": 3,
     "CDE006": 3, "CDE007": 3, "CDE008": 2, "CDE009": 2, "CDE010": 2,
-    "CDE011": 2, "CDE012": 2, "CDE013": 2, "CDE017": 2, "CDE018": 4,
-    "CDE019": 2, "CDE020": 2, "CDE021": 2, "CDE022": 2,
+    "CDE011": 2, "CDE012": 2, "CDE013": 2, "CDE018": 4, "CDE019": 2,
 }
 
 

@@ -5,12 +5,15 @@ interleaved inserts, lookups, negative inserts, removals and time jumps,
 checking after every step the invariants everything upstream depends on:
 
 * an entry is never served at or beyond its expiry;
-* a served TTL never exceeds the clamped insert TTL, and never grows;
+* a served TTL never exceeds what is left of the clamped insert TTL,
+  and never grows between re-inserts;
 * the live-entry count never exceeds capacity;
 * NXDOMAIN answers any qtype at the name, NODATA only its own qtype.
 """
 
 from __future__ import annotations
+
+import math
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -34,6 +37,8 @@ class CacheMachine(RuleBasedStateMachine):
         self.now = 0.0
         #: Our model of what must still be alive: key -> (expires_at, kind).
         self.model: dict[tuple[str, RRType], tuple[float, EntryKind]] = {}
+        #: Last TTL served per owner since its most recent positive insert.
+        self.served_ttl: dict[str, int] = {}
 
     # -- operations ------------------------------------------------------
 
@@ -46,6 +51,7 @@ class CacheMachine(RuleBasedStateMachine):
         clamped = self.cache.clamp_ttl(ttl)
         self.model[(owner, RRType.A)] = (self.now + clamped,
                                          EntryKind.POSITIVE)
+        self.served_ttl.pop(owner, None)
 
     @rule(index=st.integers(0, len(NAMES) - 1))
     def put_nxdomain(self, index):
@@ -68,6 +74,7 @@ class CacheMachine(RuleBasedStateMachine):
         owner = NAMES[index]
         self.cache.remove(name(owner), RRType.A)
         self.model.pop((owner, RRType.A), None)
+        self.served_ttl.pop(owner, None)
 
     @rule(delta=st.floats(0.0, 400.0))
     def advance_time(self, delta):
@@ -93,6 +100,13 @@ class CacheMachine(RuleBasedStateMachine):
             if modelled is not None:
                 expires_at, _ = modelled
                 assert entry.expires_at <= expires_at + 1e-6
+                # The served TTL is what is left of the clamped insert TTL:
+                # never more than the modelled lifetime remaining...
+                assert aged.ttl <= math.ceil(expires_at - self.now)
+                # ...and it only counts down until the next re-insert.
+                previous = self.served_ttl.get(owner)
+                assert previous is None or aged.ttl <= previous
+                self.served_ttl[owner] = aged.ttl
         elif entry.kind == EntryKind.NXDOMAIN:
             # An NXDOMAIN may answer any qtype at its name.
             modelled = self.model.get((owner, RRType.ANY))
