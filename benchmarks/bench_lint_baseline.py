@@ -1,9 +1,8 @@
 """Regenerate the committed clean lint baseline (``LINT_baseline.json``).
 
 Runs ``python -m repro.lint src/ --json`` in benchmarks mode — i.e. the
-report is written to the repo root as a committed artifact, exactly like
-``BENCH_scaling.json`` — so future PRs can diff findings against the
-clean tree.  The report is fully deterministic (sorted findings, sorted
+report is written to the repo root as a committed artifact — so future
+changes can diff findings against the clean tree.  The report is fully deterministic (sorted findings, sorted
 keys, no timestamps), which is what makes the byte-level diff in CI
 meaningful.
 

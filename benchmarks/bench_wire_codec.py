@@ -6,8 +6,7 @@ into probe throughput (the carpet-bombing and enumeration sweeps of §V
 route millions of messages).  The per-``DnsName`` encode cache
 (``dns/wire.py``) computes each distinct name's label bytes and
 compression suffixes once instead of once per occurrence; this bench
-measures what that buys on a realistic message mix and records the
-result as the ``wire`` section of ``BENCH_scaling.json``.
+measures what that buys on a realistic message mix and prints it.
 
 Legs:
 
@@ -26,9 +25,7 @@ name occurrence.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import time
 
 from conftest import run_once
@@ -46,7 +43,6 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 #: zone origins and resolver infrastructure names repeat in a real sweep.
 N_PLATFORMS = 8 if SMOKE else 64
 ROUNDS = 3 if SMOKE else 25
-OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 
 
 def _message_mix() -> list[DnsMessage]:
@@ -142,26 +138,11 @@ def test_bench_wire_codec(benchmark):
     cold = legs["encode-cold"]["messages_per_second"]
     speedup = cached / cold if cold else 0.0
 
-    wire_section = {
-        "messages": count,
-        "bytes_encoded": total_bytes,
-        "cache_hits_process": hits,
-        "cache_misses_process": misses,
-        "speedup_cached_vs_cold": speedup,
-        "legs": legs,
-    }
-    # This bench owns only the "wire" key; the scaling bench owns the rest.
-    payload = {}
-    if OUTPUT.exists():
-        payload = json.loads(OUTPUT.read_text())
-    payload["wire"] = wire_section
-    OUTPUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
     print()
     print(f"wire codec over {count} messages ({total_bytes} bytes/round set)")
     for leg_name, leg in legs.items():
         print(f"  {leg_name:<15} {leg['messages_per_second']:10.0f} msg/s")
     print(f"  cached vs cold encode: {speedup:.2f}x "
-          f"(written to {OUTPUT.name})")
+          f"({hits} cache hits, {misses} misses in this process)")
 
     assert cached >= cold, "the name-wire cache must not slow encoding"

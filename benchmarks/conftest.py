@@ -39,21 +39,6 @@ BENCH_CAPS = {
 }
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--fail-on-fallback", action="store_true", default=False,
-        help="fail any engine bench leg that served direct probes through "
-             "the structured fallback instead of the fused fast path — a "
-             "desynced corridor runs ~4x slower while still producing "
-             "correct rows, so it should fail loudly, not quietly",
-    )
-
-
-@pytest.fixture
-def fail_on_fallback(request):
-    return bool(request.config.getoption("--fail-on-fallback"))
-
-
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under the benchmark timer and return it."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)

@@ -112,25 +112,3 @@ def parse_suppressions(
             per_line[line] = per_line.get(line, frozenset()) | rules
     return per_line, per_file
 
-
-def load_module(path: Path, rel: str) -> ModuleInfo:
-    """Parse ``path`` into a :class:`ModuleInfo`."""
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModuleParseError(f"{rel}: cannot read: {exc}") from exc
-    try:
-        tree = ast.parse(source, filename=rel)
-    except SyntaxError as exc:
-        raise ModuleParseError(
-            f"{rel}:{exc.lineno or 0}: syntax error: {exc.msg}"
-        ) from exc
-    per_line, per_file = parse_suppressions(source)
-    return ModuleInfo(
-        path=path,
-        rel=rel,
-        source=source,
-        tree=tree,
-        line_suppressions=per_line,
-        file_suppressions=per_file,
-    )

@@ -22,9 +22,6 @@ Within any index bucket (and the log itself) timestamps are nondecreasing
 instead of scanning.  Should an out-of-order timestamp ever be recorded,
 the log detects it and falls back to linear ``since`` filtering.
 
-``QueryLog(indexed=False)`` preserves the original full-scan behaviour;
-the scaling benches use it to measure exactly what the indexes buy.
-
 **Retirement** (:meth:`QueryLog.retire`) keeps a long census bounded: it
 forgets every entry recorded so far.  Positions are *global* — they keep
 counting past retired entries — so marks stay valid, and every query that
@@ -58,10 +55,9 @@ class LogEntry:
 class QueryLog:
     """Append-only log with counting helpers and exact retirement."""
 
-    def __init__(self, indexed: bool = True) -> None:
+    def __init__(self) -> None:
         self._entries: list[LogEntry] = []
         self._marks: dict[str, int] = {}
-        self.indexed = indexed
         #: Entry positions per exact qname / per qname ancestor (incl. self).
         #: Positions are global: they never shift when the log retires.
         self._by_qname: dict[DnsName, list[int]] = {}
@@ -75,14 +71,13 @@ class QueryLog:
         self._origin = 0
 
     def record(self, entry: LogEntry) -> None:
-        if self.indexed:
-            position = self._origin + len(self._entries)
-            if self._timestamps and entry.timestamp < self._timestamps[-1]:
-                self._monotonic = False
-            self._timestamps.append(entry.timestamp)
-            self._by_qname.setdefault(entry.qname, []).append(position)
-            for ancestor in entry.qname.ancestors(include_self=True):
-                self._by_suffix.setdefault(ancestor, []).append(position)
+        position = self._origin + len(self._entries)
+        if self._timestamps and entry.timestamp < self._timestamps[-1]:
+            self._monotonic = False
+        self._timestamps.append(entry.timestamp)
+        self._by_qname.setdefault(entry.qname, []).append(position)
+        for ancestor in entry.qname.ancestors(include_self=True):
+            self._by_suffix.setdefault(ancestor, []).append(position)
         self._entries.append(entry)
 
     # -- retirement -----------------------------------------------------------
@@ -152,24 +147,22 @@ class QueryLog:
                           key=lambda p: self._timestamps[p - origin])
         return positions[cut:]
 
-    def _scan_start(self, since: Optional[float]) -> int:
-        """First list index at/after ``since`` for whole-log walks."""
-        if since is None or not self.indexed or not self._monotonic:
-            return 0
-        return bisect_left(self._timestamps, since)
-
     def _candidates(self, qname: Optional[DnsName],
                     since: Optional[float]) -> Iterable[LogEntry]:
-        """Entries narrowed by the cheapest applicable index."""
-        if self.indexed and qname is not None:
+        """Entries of ``qname`` (or of the whole log) at/after ``since``."""
+        if qname is not None:
             positions = self._by_qname.get(qname)
             if positions is None:
                 return ()
             origin = self._origin
             return (self._entries[p - origin]
                     for p in self._positions_since(positions, since))
-        start = self._scan_start(since)
-        return self._entries[start:] if start else self._entries
+        if since is None:
+            return self._entries
+        if not self._monotonic:
+            return (entry for entry in self._entries
+                    if entry.timestamp >= since)
+        return self._entries[bisect_left(self._timestamps, since):]
 
     # -- queries ------------------------------------------------------------
 
@@ -186,14 +179,8 @@ class QueryLog:
                 predicate: Optional[Callable[[LogEntry], bool]] = None
                 ) -> list[LogEntry]:
         """Filtered view of the log; all filters are conjunctive."""
-        narrowed = self.indexed and qname is not None
         result = []
         for entry in self._candidates(qname, since):
-            if not narrowed:
-                if qname is not None and entry.qname != qname:
-                    continue
-                if since is not None and entry.timestamp < since:
-                    continue
             if qtype is not None and entry.qtype != qtype:
                 continue
             if src_ip is not None and entry.src_ip != src_ip:
@@ -206,16 +193,12 @@ class QueryLog:
     def entries_under(self, suffix: DnsName,
                       since: Optional[float] = None) -> list[LogEntry]:
         """Entries whose qname falls at or under ``suffix``."""
-        if self.indexed:
-            positions = self._by_suffix.get(suffix)
-            if positions is None:
-                return []
-            origin = self._origin
-            return [self._entries[p - origin]
-                    for p in self._positions_since(positions, since)]
-        return self.entries(
-            since=since,
-            predicate=lambda entry: entry.qname.is_subdomain_of(suffix))
+        positions = self._by_suffix.get(suffix)
+        if positions is None:
+            return []
+        origin = self._origin
+        return [self._entries[p - origin]
+                for p in self._positions_since(positions, since)]
 
     def entries_for_any(self, qnames: Iterable[DnsName],
                         since: Optional[float] = None,
@@ -227,20 +210,6 @@ class QueryLog:
         descendants).  This is the egress-census primitive: one indexed
         union instead of a full-log predicate scan per probe batch.
         """
-        if not self.indexed:
-            wanted = set(qnames)
-            if under:
-                def predicate(entry: LogEntry) -> bool:
-                    qname = entry.qname
-                    while len(qname) > 0:
-                        if qname in wanted:
-                            return True
-                        qname = qname.parent
-                    return False
-            else:
-                def predicate(entry: LogEntry) -> bool:
-                    return entry.qname in wanted
-            return self.entries(since=since, predicate=predicate)
         index = self._by_suffix if under else self._by_qname
         positions: set[int] = set()
         for qname in qnames:

@@ -29,16 +29,15 @@ provable miss, the zone answer is pure wildcard synthesis, and the query
 log's suffix buckets above the name are fixed.
 
 There is one tier and one gate.  :meth:`_FastPlan.build` returns a plan
-only when the import-time replica checks passed (:data:`_FULL_FAST`),
-every link uses a gated latency/loss model and the CDE query log is
-indexed; otherwise every probe of the platform takes the structured path
-and counts as a fallback probe.  Inside the corridor, the shapes it
-replicates are the warm corridor (a per-cache memo of the cached
-base-domain NS and nameserver A entries) and the cold referral chain
-into an empty cache (:class:`_ColdChain`).  Every rarer shape — an
-entry or alias already at the name, an expired memo, a cache that is
-neither empty nor memoized — runs the real resolver code from exactly the
-point the real path would reach it.
+only when the import-time replica checks passed (:data:`_FULL_FAST`) and
+every link uses a gated latency/loss model; otherwise every probe of the
+platform takes the structured path and counts as a fallback probe.
+Inside the corridor, the shapes it replicates are the warm corridor (a
+per-cache memo of the cached base-domain NS and nameserver A entries) and
+the cold referral chain into an empty cache (:class:`_ColdChain`).  Every
+rarer shape — an entry or alias already at the name, an expired memo, a
+cache that is neither empty nor memoized — runs the real resolver code
+from exactly the point the real path would reach it.
 
 Equivalence is checked at runtime, not by a static proof: a fused run
 and a structured run of twin worlds must leave identical world state —
@@ -324,9 +323,8 @@ class _ColdChain:
     question does, which ingest ignores), so the captured RRsets replay
     verbatim for any corridor name.  On any structural surprise — multiple
     roots or candidate servers, glueless delegations, truncation, a
-    non-wildcard answer, a hop whose link model is not gated or whose
-    query log is unindexed — the capture declines and cold resolutions
-    stay on the real path.
+    non-wildcard answer, a hop whose link model is not gated — the capture
+    declines and cold resolutions stay on the real path.
     """
 
     __slots__ = ("network", "server", "ns_ip", "base_domain", "root_key",
@@ -430,8 +428,6 @@ class _ColdChain:
                 assert isinstance(first.rdata, NsRdata)
                 self.a_key = (first.rdata.nsdname, RRType.A)
             level_log = endpoint.query_log
-            if not level_log.indexed:
-                return
             tails = [
                 level_log.hold_suffix(ancestor)
                 for ancestor in self.base_domain.ancestors(include_self=True)
@@ -600,8 +596,6 @@ class _FastPlan:
             return None           # exactly one rng draw per send call
         if not server.online or server.rrl_rate is not None:
             return None
-        if not server.query_log.indexed:
-            return None           # inline record() maintains the indexes
         ns_ip = world.cde.ns_ip
         if network.endpoint_at(ns_ip) is not server:
             return None

@@ -53,8 +53,9 @@ DEFAULT_SHARDS = 8
 
 #: Fewest platforms one pool worker must be handed before the pool's fixed
 #: costs (process spawn, interpreter + package import, payload pickling)
-#: can pay for themselves.  Measured on the scaling bench: worker startup
-#: costs ~100 ms against ~1.5 ms of engine work per platform.
+#: can pay for themselves.  Measured on a 720-platform open-resolver
+#: sweep: worker startup costs ~100 ms against ~1.5 ms of engine work per
+#: platform.
 MIN_PLATFORMS_PER_WORKER = 64
 
 #: ``workers=`` accepts an explicit count or ``"auto"``.

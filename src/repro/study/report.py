@@ -112,9 +112,9 @@ def format_perf(perf: Optional[PerfCounters],
         # serves every direct probe through the fused corridor.  Fallback
         # probes mean _FastPlan.build declined the platform — a fault
         # injector, a retry policy, a closed resolver, frontend dedup,
-        # prefetch, an ungated link model, a windowed or unindexed CDE
-        # log, or a failed import-time check — and its probes ran the
-        # structured path at object-per-message speed (same rows).
+        # prefetch, an ungated link model, or a failed import-time check —
+        # and its probes ran the structured path at object-per-message
+        # speed (same rows).
         rows.append(("fused probes", perf.fused_probes))
         rows.append(("fallback probes", perf.fallback_probes))
         ratio = (f"{100 * perf.fused_probes / total_probes:.1f}%"

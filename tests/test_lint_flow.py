@@ -47,13 +47,13 @@ def _flow(source: str):
     return analyze_function(_first_func(source), aliases={})
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, cwd: Path = REPO_ROOT) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run(
         [sys.executable, "-m", "repro.lint", "--no-cache", *args],
-        capture_output=True, text=True, cwd=REPO_ROOT, env=env,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
 
 
@@ -378,12 +378,25 @@ def test_explain_is_case_insensitive_and_rejects_unknown():
     assert "unknown rule id" in result.stderr
 
 
-def test_changed_flag_reports_scope_note():
-    # In this repo's checkout the flag must at minimum run and report
-    # the scope banner or the nothing-to-do message.
-    result = run_cli("--changed", "src")
-    assert result.returncode in (0, 1)
-    assert "cdelint" in result.stdout
+def test_changed_flag_reports_scope_note(tmp_path):
+    # A throwaway repo: one committed module and one dirty module, both
+    # reading the wall clock; only the dirty one is in scope.
+    wall_clock = "import time\n\n\ndef stamp():\n    return time.time()\n"
+    (tmp_path / "committed.py").write_text(wall_clock)
+    git = ["git", "-c", "user.name=lint", "-c", "user.email=lint@example",
+           "-c", "commit.gpgsign=false"]
+    for command in (["init", "-q"], ["add", "committed.py"],
+                    ["commit", "-q", "-m", "committed module"]):
+        subprocess.run(git + command, cwd=tmp_path, check=True,
+                       capture_output=True)
+    (tmp_path / "dirty.py").write_text(wall_clock)
+
+    result = run_cli("--changed", "--select", "CDE001", ".", cwd=tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert ("cdelint --changed: reporting on 1 file(s) in the dirty "
+            "subgraph") in result.stdout
+    assert "dirty.py:5" in result.stdout
+    assert "committed.py" not in result.stdout
 
 
 class TestExplainResolution:

@@ -1,12 +1,13 @@
 """Indexed query-log lookups must be invisible to callers.
 
-``QueryLog(indexed=True)`` (the default) answers every query through its
-incremental by-qname / by-suffix indexes; ``indexed=False`` preserves the
-original full-scan implementation.  These tests drive both modes with the
-same randomized entry stream and require identical answers for every
+:class:`QueryLog` answers every query through its incremental by-qname /
+by-suffix indexes.  These tests drive it with a randomized entry stream
+and require the answers a plain full scan over the recorded entries gives
+(:class:`FullScan`, list comprehensions and nothing else) for every
 filter combination — plus regression coverage for ``count`` forwarding
 *all* of ``entries``'s filters (``src_ip`` and ``predicate`` used to be
-silently dropped).
+silently dropped), and a work count that pins the index actually
+narrowing exact-name lookups.
 """
 
 from __future__ import annotations
@@ -44,12 +45,55 @@ def _random_entries(count: int, seed: int = 42,
     return entries
 
 
-def _pair(count: int = 200, **kwargs) -> tuple[QueryLog, QueryLog]:
-    indexed, scan = QueryLog(indexed=True), QueryLog(indexed=False)
-    for entry in _random_entries(count, **kwargs):
-        indexed.record(entry)
-        scan.record(entry)
-    return indexed, scan
+class FullScan:
+    """The oracle: every query answered by a scan of the recorded entries."""
+
+    def __init__(self, entries: list[LogEntry]):
+        self.log = entries
+
+    def entries(self, qname=None, qtype=None, src_ip=None, since=None,
+                predicate=None):
+        return [e for e in self.log
+                if (qname is None or e.qname == qname)
+                and (qtype is None or e.qtype == qtype)
+                and (src_ip is None or e.src_ip == src_ip)
+                and (since is None or e.timestamp >= since)
+                and (predicate is None or predicate(e))]
+
+    def count(self, **kwargs):
+        return len(self.entries(**kwargs))
+
+    def entries_under(self, suffix, since=None):
+        return [e for e in self.entries(since=since)
+                if e.qname.is_subdomain_of(suffix)]
+
+    def count_under(self, suffix, since=None, dedupe=True):
+        matching = self.entries_under(suffix, since=since)
+        if not dedupe:
+            return len(matching)
+        return len({(e.src_ip, e.msg_id, e.qname, e.qtype) for e in matching})
+
+    def entries_for_any(self, qnames, since=None, under=False):
+        return [e for e in self.entries(since=since)
+                if any(e.qname.is_subdomain_of(q) if under else e.qname == q
+                       for q in qnames)]
+
+    def sources(self, qname=None, suffix=None, since=None):
+        return {e.src_ip for e in self.entries(qname=qname, since=since)
+                if suffix is None or e.qname.is_subdomain_of(suffix)}
+
+    def count_transactions(self, qname=None, qtype=None, since=None):
+        return len({(e.src_ip, e.msg_id, e.qname, e.qtype)
+                    for e in self.entries(qname=qname, qtype=qtype,
+                                          since=since)})
+
+
+def _pair(count: int = 200, **kwargs) -> tuple[QueryLog, FullScan]:
+    log = QueryLog()
+    entries = _random_entries(count, **kwargs)
+    for entry in entries:
+        log.record(entry)
+    return log, FullScan(entries)
 
 
 MID_TS = 50.0
@@ -118,6 +162,18 @@ class TestIndexedMatchesFullScan:
             assert indexed.count_transactions(**kwargs) == \
                 scan.count_transactions(**kwargs)
 
+    def test_since_at_a_recorded_timestamp_is_inclusive(self):
+        indexed, scan = _pair()
+        for entry in scan.log[::25]:
+            since = entry.timestamp
+            assert indexed.entries(since=since) == scan.entries(since=since)
+            assert indexed.entries(qname=entry.qname, since=since) == \
+                scan.entries(qname=entry.qname, since=since)
+            assert indexed.entries_under(name("example."), since=since) == \
+                scan.entries_under(name("example."), since=since)
+            assert indexed.entries_for_any(QNAMES[:2], since=since) == \
+                scan.entries_for_any(QNAMES[:2], since=since)
+
     def test_out_of_order_timestamps_fall_back_correctly(self):
         indexed, scan = _pair(monotonic=False)
         assert not indexed._monotonic
@@ -127,6 +183,52 @@ class TestIndexedMatchesFullScan:
             scan.entries(qname=QNAMES[0], since=mid)
         assert indexed.entries_under(name("example."), since=mid) == \
             scan.entries_under(name("example."), since=mid)
+
+
+class _CountingName(DnsName):
+    """A name that counts the equality tests made against it."""
+
+    __slots__ = ()
+    comparisons = 0
+
+    def __eq__(self, other: object) -> bool:
+        _CountingName.comparisons += 1
+        return super().__eq__(other)
+
+    __hash__ = DnsName.__hash__
+
+
+class TestLookupWorkIsPerName:
+    """Exact-name lookups touch that name's entries, never the whole log."""
+
+    N_NAMES = 300
+    PER_NAME = 12
+
+    def _log(self) -> tuple[QueryLog, list[DnsName]]:
+        names = [_CountingName(("p%d" % index, "cde", "example"))
+                 for index in range(self.N_NAMES)]
+        log = QueryLog()
+        clock = 0.0
+        for _ in range(self.PER_NAME):
+            for qname in names:
+                clock += 0.5
+                log.record(LogEntry(clock, SOURCES[0], qname, RRType.A))
+        return log, names
+
+    def test_predicate_runs_once_per_entry_of_the_name(self):
+        log, names = self._log()
+        assert len(log) == self.N_NAMES * self.PER_NAME
+        for qname in names[::37]:
+            calls = []
+            _CountingName.comparisons = 0
+            found = log.entries(qname=qname,
+                                predicate=lambda entry: calls.append(entry)
+                                or True)
+            assert len(calls) == self.PER_NAME
+            assert found == calls
+            assert all(entry.qname is qname for entry in calls)
+            # No scan compares the other names' entries against qname.
+            assert _CountingName.comparisons < self.PER_NAME
 
 
 class TestCountForwardsAllFilters:
@@ -180,13 +282,12 @@ class TestLifecycle:
     def test_marks_unaffected_by_indexing(self):
         indexed, scan = _pair(count=40)
         indexed.mark("m")
-        scan.mark("m")
-        extra = _random_entries(10, seed=7)
-        for entry in extra:
+        extra = []
+        for entry in _random_entries(10, seed=7):
             entry = LogEntry(timestamp=entry.timestamp + 1000.0,
                              src_ip=entry.src_ip, qname=entry.qname,
                              qtype=entry.qtype, msg_id=entry.msg_id)
             indexed.record(entry)
-            scan.record(entry)
-        assert indexed.since_mark("m") == scan.since_mark("m")
-        assert len(indexed.since_mark("m")) == 10
+            extra.append(entry)
+        assert indexed.since_mark("m") == extra
+        assert list(indexed) == scan.log + extra

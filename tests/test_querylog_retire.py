@@ -59,11 +59,11 @@ def _epoch_names(epoch: int):
 
 
 class TestRetireProperty:
-    @given(ops=OPS, indexed=st.booleans())
+    @given(ops=OPS)
     @settings(max_examples=60, deadline=None)
-    def test_post_retire_queries_match_unretired_log(self, ops, indexed):
-        log, reference = QueryLog(indexed=indexed), QueryLog(indexed=indexed)
-        held = log.hold_suffix(SHARED) if indexed else None
+    def test_post_retire_queries_match_unretired_log(self, ops):
+        log, reference = QueryLog(), QueryLog()
+        held = log.hold_suffix(SHARED)
         epoch, clock = 0, 0.0
         retired_at = None           # latest timestamp retirement forgot
         live: list[LogEntry] = []
@@ -118,13 +118,11 @@ class TestRetireProperty:
         assert log.count_under(SHARED, since=cut) == \
             reference.count_under(SHARED, since=cut)
 
-        if held is not None:
-            assert log._by_suffix[SHARED] is held
-            assert log.hold_suffix(SHARED) is held
-            assert held == [position
-                            for position in reference._by_suffix.get(SHARED,
-                                                                     [])
-                            if position >= log.evicted]
+        assert log._by_suffix[SHARED] is held
+        assert log.hold_suffix(SHARED) is held
+        assert held == [position
+                        for position in reference._by_suffix.get(SHARED, [])
+                        if position >= log.evicted]
 
     def test_clear_restarts_positions_and_keeps_held_buckets(self):
         log = QueryLog()

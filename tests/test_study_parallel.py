@@ -57,7 +57,10 @@ class TestDeterminismAcrossWorkers:
         for workers in (0, 1, 2, 4):
             result = run_parallel_measurement(
                 specs, base_seed=SEED, workers=workers, n_shards=N_SHARDS,
-                budget=FAST_BUDGET)
+                budget=FAST_BUDGET, force_pool=workers > 0)
+            # Nine specs would stay in-process under the resolve_workers
+            # heuristic; force_pool runs a real pool of each size.
+            assert result.perf.workers == min(workers, N_SHARDS)
             key = _row_key(result.rows)
             if reference is None:
                 reference = key
